@@ -12,7 +12,6 @@ from .algebra import (
     delta_as_atoms,
     delta_class,
     expand_concrete,
-    expr_equal,
     hodge_component,
     irr_push,
     kappa,

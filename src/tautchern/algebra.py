@@ -16,9 +16,10 @@ identification (h, A) ~ (g-h, complement of A).
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .rationals import DomainError
 
@@ -152,6 +153,11 @@ def sep_push_sum(a: int, b: int) -> Gen:
     return Gen(BSEPA, (max(a, b), min(a, b)))
 
 
+# Labels print inside "{...}" lists separated by ",", so those characters
+# (and whitespace) would make a rendered atom ambiguous.
+_LABEL = re.compile(r"[^\s,{}]+")
+
+
 def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"p{i}" for i in range(1, n + 1))
 
@@ -173,6 +179,11 @@ class ModuliSpec:
         if self.genus < 0:
             raise DomainError(f"genus must be >= 0, got {self.genus}")
         labels = tuple(self.labels)
+        for p in labels:
+            if type(p) is not str or not _LABEL.fullmatch(p):
+                raise DomainError(
+                    f"marking label {p!r} must be a non-empty string without "
+                    "',', '{', '}' or whitespace")
         if len(set(labels)) != len(labels):
             raise DomainError(f"marking labels must be distinct, got {labels}")
         object.__setattr__(self, "labels", labels)
@@ -475,11 +486,6 @@ class TautExpr:
             return TautExpr.of(self.spec, self.order, g)
 
         return self.map_generators(fn)
-
-
-def expr_equal(e1: TautExpr, e2: TautExpr) -> bool:
-    """Equality of canonical forms; no rewriting is implied."""
-    return e1 == e2
 
 
 def delta_as_atoms(spec: ModuliSpec, order: int) -> TautExpr:

@@ -141,9 +141,6 @@ class BiSeries:
                     b[(i, j)] = -s / c0
         return BiSeries.build(self.order, b, self.cross_zero)
 
-    def divide(self, other: "BiSeries") -> "BiSeries":
-        return self * other.inverse()
-
     def exp(self) -> "BiSeries":
         """Exponential of a series with zero constant term."""
         if self.coeff(0, 0) != 0:
@@ -156,14 +153,25 @@ class BiSeries:
         return total
 
 
+def _univariate(order: int, index: int, fn,
+                cross_zero: bool = False) -> BiSeries:
+    """Series in the chosen variable alone, with coefficient fn(k) on D^k."""
+    return BiSeries.build(
+        order, {((k, 0) if index == 1 else (0, k)): fn(k) for k in range(order + 1)},
+        cross_zero)
+
+
+def _one_minus_exp_neg_over_t(k: int) -> Fraction:
+    """Coefficient of t^k in (1 - e^(-t))/t."""
+    return Fraction((-1) ** k, factorial(k + 1))
+
+
 def one_minus_exp_neg(order: int, index: int,
                       cross_zero: bool = False) -> BiSeries:
     """1 - e^(-D) in the chosen variable."""
-    data = {}
-    for k in range(1, order + 1):
-        key = (k, 0) if index == 1 else (0, k)
-        data[key] = Fraction((-1) ** (k + 1), factorial(k))
-    return BiSeries.build(order, data, cross_zero)
+    return _univariate(order, index,
+                       lambda k: _one_minus_exp_neg_over_t(k - 1) if k else 0,
+                       cross_zero)
 
 
 def structure_sheaf_pair_ch(order: int) -> BiSeries:
@@ -171,19 +179,6 @@ def structure_sheaf_pair_ch(order: int) -> BiSeries:
     if order < 2:
         raise DomainError(f"the product starts at degree 2; need order >= 2, got {order}")
     return one_minus_exp_neg(order, 1) * one_minus_exp_neg(order, 2)
-
-
-def _sum_power_series(order: int, fn) -> BiSeries:
-    """Series in s = D1 + D2 with coefficient fn(k) on s^k."""
-    data: dict[tuple[int, int], Fraction] = {}
-    for k in range(order + 1):
-        c = fn(k)
-        if c == 0:
-            continue
-        for i in range(k + 1):
-            key = (i, k - i)
-            data[key] = data.get(key, Fraction(0)) + c * comb(k, i)
-    return BiSeries.build(order, data)
 
 
 def todd_dual_inverse_pair(order: int) -> BiSeries:
@@ -194,22 +189,18 @@ def todd_dual_inverse_pair(order: int) -> BiSeries:
     (1-e^(-s))/s at s = D1+D2, times D1/(1-e^(-D1)), times
     D2/(1-e^(-D2)).
     """
-    f = _sum_power_series(order, lambda k: Fraction((-1) ** k, factorial(k + 1)))
-
     def unit_todd(index: int) -> BiSeries:
-        data = {}
-        for k in range(order + 1):
-            key = (k, 0) if index == 1 else (0, k)
-            data[key] = Fraction((-1) ** k, factorial(k + 1))
-        return BiSeries.build(order, data).inverse()
+        return _univariate(order, index, _one_minus_exp_neg_over_t).inverse()
 
-    return f * unit_todd(1) * unit_todd(2)
+    return node_correction_series(order) * unit_todd(1) * unit_todd(2)
 
 
 def node_correction_series(order: int) -> BiSeries:
-    """sum_(j>=1) (-1)^(j-1) (D1+D2)^(j-1) / j!."""
-    return _sum_power_series(order,
-                             lambda k: Fraction((-1) ** k, factorial(k + 1)))
+    """sum_(j>=1) (-1)^(j-1) (D1+D2)^(j-1) / j!, which is (1-e^(-s))/s at
+    s = D1+D2, expanded binomially."""
+    return BiSeries.build(order, {
+        (i, k - i): _one_minus_exp_neg_over_t(k) * comb(k, i)
+        for k in range(order + 1) for i in range(k + 1)})
 
 
 def check_node_correction(order: int, inject_fault: bool = False) -> bool:
@@ -234,22 +225,17 @@ def check_node_correction(order: int, inject_fault: bool = False) -> bool:
 
 def todd_reciprocal(order: int) -> BiSeries:
     """t/(e^t - 1) as a univariate series in the first variable."""
-    expm1_over_t = BiSeries.build(
-        order, {(k, 0): Fraction(1, factorial(k + 1)) for k in range(order + 1)})
-    return expm1_over_t.inverse()
+    return _univariate(order, 1, lambda k: Fraction(1, factorial(k + 1))).inverse()
 
 
 def check_todd_bernoulli(order: int) -> bool:
     """t/(e^t-1) against 1 - t/2 + sum B_2j t^2j/(2j)! with recurrence values."""
     if order < 2:
         raise DomainError(f"the Bernoulli expansion check needs order >= 2, got {order}")
-    data: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1),
-                                             (1, 0): Fraction(-1, 2)}
-    j = 1
-    while 2 * j <= order:
-        data[(2 * j, 0)] = bernoulli(2 * j) / factorial(2 * j)
-        j += 1
-    return todd_reciprocal(order) == BiSeries.build(order, data)
+    even = _univariate(order, 1, lambda k: bernoulli(k) / factorial(k)
+                       if k % 2 == 0 else 0)
+    half_t = BiSeries.variable(order, 1).scale(Fraction(1, 2))
+    return todd_reciprocal(order) == even - half_t
 
 
 def bernoulli_by_series(k: int) -> Fraction:
@@ -273,14 +259,12 @@ def kappa_correction_series_table(m_max: int,
     """
     if m_max < 3:
         raise DomainError(f"correction constants start at m = 3, got {m_max}")
-    bern = {}
-    h = 1
-    while 2 * h <= m_max:
-        bern[(2 * h, 0)] = bernoulli(2 * h) / factorial(2 * h)
-        h += 1
-    start = 1 if use_expm1 else 0
-    expo = {(k, 0): Fraction(1, factorial(k)) for k in range(start, m_max + 1)}
-    product = BiSeries.build(m_max, bern) * BiSeries.build(m_max, expo)
+    bern = _univariate(m_max, 1, lambda k: bernoulli(k) / factorial(k)
+                       if k >= 2 and k % 2 == 0 else 0)
+    expo = _univariate(m_max, 1, lambda k: Fraction(1, factorial(k)))
+    if use_expm1:
+        expo = expo - BiSeries.one(m_max)
+    product = bern * expo
     return {m: product.coeff(m, 0) for m in range(3, m_max + 1)}
 
 
@@ -300,10 +284,8 @@ def marked_point_product(order: int) -> BiSeries:
     for k in range(order + 1):
         unit = unit + power.scale(Fraction(1, factorial(k + 1)))
         power = power * u
-    expm1 = BiSeries.build(order,
-                           {(0, j): Fraction(1, factorial(j))
-                            for j in range(1, order + 1)},
-                           cross_zero=True)
+    expm1 = _univariate(order, 2, lambda j: Fraction(1, factorial(j)) if j else 0,
+                        cross_zero=True)
     return unit.inverse() * expm1
 
 

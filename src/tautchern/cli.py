@@ -51,7 +51,7 @@ def _spec_from_args(args) -> ModuliSpec:
     if args.labels is not None and args.n is not None:
         raise DomainError("give either --n or --labels, not both")
     if args.labels is not None:
-        labels = tuple(p for p in args.labels.split(",") if p)
+        labels = tuple(args.labels.split(","))
     elif args.n is not None:
         if args.n < 0:
             raise DomainError(f"marking count must be >= 0, got {args.n}")

@@ -90,14 +90,28 @@ def rank(spec: ModuliSpec, bundle: str = "cotangent") -> int:
     raise DomainError(f"unknown bundle {bundle!r}")
 
 
-def ch_cotangent(spec: ModuliSpec, order: int) -> TautExpr:
-    """Graded Chern character of the cotangent bundle, degrees 1..order.
+def _boundary_items(spec: ModuliSpec, shapes: SymPoly2, scalar: Fraction):
+    """scalar times the pushforwards of the symmetric polynomial shapes
+    along the irreducible and the separating boundary maps.
 
-    In concrete mode the separating block is assembled divisor by
-    divisor, iterating every ordered stable splitting directly; the
-    generic route goes through the aggregate atoms instead, so the two
-    paths are genuinely independent and can be compared.
+    In concrete mode the separating part is assembled divisor by divisor,
+    iterating every ordered stable splitting directly; the generic route
+    goes through the aggregate atoms instead, so the two paths are
+    genuinely independent and can be compared.
     """
+    items = [((irr_push(a, b),), scalar * c) for (a, b), c in shapes.items()]
+    if spec.concrete:
+        for h, lab in spec.ordered_splittings():
+            items.extend(((spec.sep_push(h, lab, a, b),), scalar * c)
+                         for (a, b), c in shapes.items())
+    else:
+        items.extend(((sep_push_sum(a, b),), scalar * c)
+                     for (a, b), c in shapes.items())
+    return items
+
+
+def ch_cotangent(spec: ModuliSpec, order: int) -> TautExpr:
+    """Graded Chern character of the cotangent bundle, degrees 1..order."""
     if order < 1:
         raise DomainError(f"character order must be >= 1, got {order}")
     items: list[tuple[tuple, Fraction]] = []
@@ -106,17 +120,8 @@ def ch_cotangent(spec: ModuliSpec, order: int) -> TautExpr:
         items.append(((kappa(d),), kappa_coefficient(d)))
         if d % 2 == 1:
             items.append(((hodge_component(d),), Fraction(1)))
-        bc = boundary_coefficient(d)
-        shapes = boundary_argument(d)
-        for (a, b), c in shapes.items():
-            items.append(((irr_push(a, b),), bc * c))
-        if spec.concrete:
-            for h, lab in spec.ordered_splittings():
-                for (a, b), c in shapes.items():
-                    items.append(((spec.sep_push(h, lab, a, b),), bc * c))
-        else:
-            for (a, b), c in shapes.items():
-                items.append(((sep_push_sum(a, b),), bc * c))
+        items.extend(_boundary_items(spec, boundary_argument(d),
+                                     boundary_coefficient(d)))
     return TautExpr.build(spec, order, items)
 
 
@@ -144,19 +149,8 @@ def _hodge_component_items(spec: ModuliSpec, m: int,
     """
     pref = bernoulli(2 * m) / factorial(2 * m)
     kappa_c = pref / 2 if half_includes_kappa else pref
-    bound_c = pref / 2
-    items: list[tuple[tuple, Fraction]] = [((kappa_tilde(2 * m - 1),), kappa_c)]
-    shapes = alternating_sym(2 * m - 2)
-    for (a, b), c in shapes.items():
-        items.append(((irr_push(a, b),), bound_c * c))
-    if spec.concrete:
-        for h, lab in spec.ordered_splittings():
-            for (a, b), c in shapes.items():
-                items.append(((spec.sep_push(h, lab, a, b),), bound_c * c))
-    else:
-        for (a, b), c in shapes.items():
-            items.append(((sep_push_sum(a, b),), bound_c * c))
-    return items
+    return ([((kappa_tilde(2 * m - 1),), kappa_c)]
+            + _boundary_items(spec, alternating_sym(2 * m - 2), pref / 2))
 
 
 def hodge_ch(spec: ModuliSpec, order: int,
@@ -193,24 +187,19 @@ def expand_hodge(e: TautExpr, half_includes_kappa: bool = False) -> TautExpr:
 def kappa_tilde_rewrite(e: TautExpr, direction: str = "expand") -> TautExpr:
     """Rewrite kappa~_m <-> kappa_m - (sum of psi^m) in either direction."""
     if direction == "expand":
-        rules = {}
-        for mono, _ in e.terms:
-            for g in mono:
-                if g.kind == KAPPATILDE and g not in rules:
-                    m = g.args[0]
-                    rules[g] = (TautExpr.of(e.spec, e.order, kappa(m))
-                                - TautExpr.of(e.spec, e.order, psi_power_sum(m)))
-        return e.substitute(rules)
-    if direction == "collect":
-        rules = {}
-        for mono, _ in e.terms:
-            for g in mono:
-                if g.kind == KAPPA and g not in rules:
-                    m = g.args[0]
-                    rules[g] = (TautExpr.of(e.spec, e.order, kappa_tilde(m))
-                                + TautExpr.of(e.spec, e.order, psi_power_sum(m)))
-        return e.substitute(rules)
-    raise DomainError(f"unknown rewrite direction {direction!r}")
+        source, target, sign = KAPPATILDE, kappa, -1
+    elif direction == "collect":
+        source, target, sign = KAPPA, kappa_tilde, 1
+    else:
+        raise DomainError(f"unknown rewrite direction {direction!r}")
+    rules = {}
+    for mono, _ in e.terms:
+        for g in mono:
+            if g.kind == source and g not in rules:
+                m = g.args[0]
+                rules[g] = TautExpr.build(e.spec, e.order, [
+                    ((target(m),), 1), ((psi_power_sum(m),), sign)])
+    return e.substitute(rules)
 
 
 def psi_total(spec: ModuliSpec, order: int) -> TautExpr:
@@ -238,16 +227,12 @@ def to_lambda_basis(e: TautExpr) -> TautExpr:
     substitutes kappa_1 with delta already in atom form.
     """
     spec, order = e.spec, e.order
-    lam = TautExpr.of(spec, order, hodge_component(1))
-    if spec.concrete:
-        rule = (lam.scale(12) + psi_total(spec, order)
-                - delta_as_atoms(spec, order))
-        return e.substitute({kappa(1): rule})
-    fold = (TautExpr.of(spec, order, delta_class()).scale(2)
-            - TautExpr.of(spec, order, irr_push(0, 0)))
-    e = e.substitute({sep_push_sum(0, 0): fold})
-    rule = (lam.scale(12) + TautExpr.of(spec, order, psi_power_sum(1))
-            - TautExpr.of(spec, order, delta_class()))
+    if not spec.concrete:
+        fold = (TautExpr.of(spec, order, delta_class()).scale(2)
+                - TautExpr.of(spec, order, irr_push(0, 0)))
+        e = e.substitute({sep_push_sum(0, 0): fold})
+    rule = (TautExpr.of(spec, order, hodge_component(1)).scale(12)
+            + psi_total(spec, order) - delta_total(spec, order))
     return e.substitute({kappa(1): rule})
 
 

@@ -89,10 +89,3 @@ def alternating_sym(k: int) -> SymPoly2:
     if k < 0 or k % 2:
         raise DomainError(f"alternating_sym needs even k >= 0, got {k}")
     return {(k - b, b): Fraction((-1) ** b) for b in range(k // 2 + 1)}
-
-
-def sym_scale(poly: SymPoly2, c: Fraction) -> SymPoly2:
-    """Scale every coefficient, dropping zeros."""
-    if c == 0:
-        return {}
-    return {shape: c * v for shape, v in poly.items()}

@@ -6,7 +6,6 @@ Everything here is pure ``fractions.Fraction``.  No floats, anywhere.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import comb, factorial
 
@@ -15,10 +14,9 @@ class DomainError(ValueError):
     """Raised when a quantity is requested outside its mathematical domain."""
 
 
-# Cache of Bernoulli numbers B_0, B_1, ... (second convention: B_1 = -1/2).
-# Append-only and guarded so concurrent test workers cannot corrupt it.
+# Append-only cache of Bernoulli numbers B_0, B_1, ... (second
+# convention: B_1 = -1/2).
 _bern: list[Fraction] = [Fraction(1)]
-_bern_lock = threading.Lock()
 
 
 def bernoulli(k: int) -> Fraction:
@@ -32,14 +30,13 @@ def bernoulli(k: int) -> Fraction:
     """
     if k < 0:
         raise DomainError(f"Bernoulli numbers need k >= 0, got {k}")
-    with _bern_lock:
-        while len(_bern) <= k:
-            n = len(_bern)
-            acc = Fraction(0)
-            for i, b in enumerate(_bern):
-                acc += comb(n + 1, i) * b
-            _bern.append(-acc / (n + 1))
-        return _bern[k]
+    while len(_bern) <= k:
+        n = len(_bern)
+        acc = Fraction(0)
+        for i, b in enumerate(_bern):
+            acc += comb(n + 1, i) * b
+        _bern.append(-acc / (n + 1))
+    return _bern[k]
 
 
 def kappa_correction(m: int) -> Fraction:

@@ -17,7 +17,11 @@ r-variables at a separating node.
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from typing import Callable
 
 from .algebra import (
     BIRR,
@@ -48,92 +52,116 @@ from .rationals import DomainError, format_rational
 FORMATS = ("text", "latex", "json")
 
 
-def _psi_var_text(stem: str, index: int, power: int) -> str:
-    base = f"psi_{{{stem}{index}}}"
-    return base if power == 1 else f"{base}^{power}"
+@dataclass(frozen=True, slots=True, eq=False)
+class Spelling:
+    """How one output format spells generators, products and coefficients.
+
+    Patterns are positional str.format templates.  A generator pattern
+    takes the generator's index, or for a pushforward the node argument
+    (after h and the label set on a separating atom).  Compared and
+    hashed by identity, so _sym_arg can memoize on it.
+    """
+
+    gens: dict[str, str]
+    # Names used instead of the pattern when the index is 1 (psi, lambda).
+    unit_names: dict[str, str]
+    # Pattern over (stem, branch) for a cotangent class at a node.
+    psi_at_node: str
+    # Pattern over (base, exponent).
+    power: str
+    # Product inside a pushforward argument, and between monomial factors.
+    arg_times: str
+    times: str
+    # Coefficient magnitude -> (number, separator before the monomial).
+    coeff: Callable[[Fraction], tuple[str, str]]
 
 
-def _sym_arg_text(a: int, b: int, stem: str) -> str:
+def _text_coeff(q: Fraction) -> tuple[str, str]:
+    return format_rational(q), "*" if q.denominator == 1 else " "
+
+
+def _latex_coeff(q: Fraction) -> tuple[str, str]:
+    if q.denominator == 1:
+        return str(q.numerator), "\\,"
+    return f"\\tfrac{{{q.numerator}}}{{{q.denominator}}}", "\\,"
+
+
+TEXT = Spelling(
+    gens={
+        KAPPA: "kappa_{0}",
+        KAPPATILDE: "kappa~_{0}",
+        PSIPOW: "psi^({0})",
+        PSI: "psi_{{{0}}}",
+        CHE: "ch_{0}(E)",
+        DELTA: "delta",
+        BIRR: "xi_irr_*({0})",
+        BSEPA: "sum_{{h,A}} xi_{{h,A}}_*({0})",
+        BSEP: "xi_{{{0},{{{1}}}}}_*({2})",
+    },
+    unit_names={PSIPOW: "psi", CHE: "lambda"},
+    psi_at_node="psi_{{{0}{1}}}",
+    power="{0}^{1}",
+    arg_times="*",
+    times="*",
+    coeff=_text_coeff,
+)
+
+LATEX = Spelling(
+    gens={
+        KAPPA: "\\kappa_{{{0}}}",
+        KAPPATILDE: "\\tilde{{\\kappa}}_{{{0}}}",
+        PSIPOW: "\\psi^{{({0})}}",
+        PSI: "\\psi_{{{0}}}",
+        CHE: "\\mathrm{{ch}}_{{{0}}}(\\mathbb{{E}})",
+        DELTA: "\\delta",
+        BIRR: "\\xi_{{\\mathrm{{irr}}*}}({0})",
+        BSEPA: "\\sum_{{h,A}} \\xi_{{h,A*}}({0})",
+        BSEP: "\\xi_{{{0},\\{{{1}\\}}*}}({2})",
+    },
+    unit_names={PSIPOW: "\\psi", CHE: "\\lambda"},
+    psi_at_node="\\psi_{{{0}_{1}}}",
+    power="{0}^{{{1}}}",
+    arg_times="",
+    times="\\,",
+    coeff=_latex_coeff,
+)
+
+_SPELLINGS = {"text": TEXT, "latex": LATEX}
+
+# Branch variables at the node: q at the irreducible node, r at a
+# separating one.
+_NODE_STEM = {BIRR: "q", BSEPA: "r", BSEP: "r"}
+
+
+@cache
+def _sym_arg(a: int, b: int, stem: str, s: Spelling) -> str:
+    """m_(a,b) in the two branch classes at a node.  Memoized: only a few
+    shapes exist per degree, and every pushforward atom spells one."""
     if (a, b) == (0, 0):
         return "1"
+
+    def var(branch: int, power: int) -> str:
+        base = s.psi_at_node.format(stem, branch)
+        return base if power == 1 else s.power.format(base, power)
+
+    x = s.arg_times
     if a == b:
-        return f"{_psi_var_text(stem, 1, a)}*{_psi_var_text(stem, 2, a)}"
+        return f"{var(1, a)}{x}{var(2, a)}"
     if b == 0:
-        return f"{_psi_var_text(stem, 1, a)} + {_psi_var_text(stem, 2, a)}"
-    return (f"{_psi_var_text(stem, 1, a)}*{_psi_var_text(stem, 2, b)} + "
-            f"{_psi_var_text(stem, 1, b)}*{_psi_var_text(stem, 2, a)}")
+        return f"{var(1, a)} + {var(2, a)}"
+    return f"{var(1, a)}{x}{var(2, b)} + {var(1, b)}{x}{var(2, a)}"
 
 
-def _label_set_text(labels: tuple[str, ...]) -> str:
-    return "{" + ",".join(labels) + "}"
-
-
-def gen_text(g: Gen) -> str:
-    k = g.kind
-    if k == KAPPA:
-        return f"kappa_{g.args[0]}"
-    if k == KAPPATILDE:
-        return f"kappa~_{g.args[0]}"
-    if k == PSIPOW:
-        return "psi" if g.args[0] == 1 else f"psi^({g.args[0]})"
-    if k == PSI:
-        return f"psi_{{{g.args[0]}}}"
-    if k == CHE:
-        return "lambda" if g.args[0] == 1 else f"ch_{g.args[0]}(E)"
-    if k == DELTA:
-        return "delta"
-    if k == BIRR:
-        return f"xi_irr_*({_sym_arg_text(g.args[0], g.args[1], 'q')})"
-    if k == BSEPA:
-        return f"sum_{{h,A}} xi_{{h,A}}_*({_sym_arg_text(g.args[0], g.args[1], 'r')})"
-    if k == BSEP:
-        h, lab, a, b = g.args
-        return (f"xi_{{{h},{_label_set_text(lab)}}}_*"
-                f"({_sym_arg_text(a, b, 'r')})")
-    raise DomainError(f"unknown generator kind {k!r}")
-
-
-def _psi_var_latex(stem: str, index: int, power: int) -> str:
-    base = f"\\psi_{{{stem}_{index}}}"
-    return base if power == 1 else f"{base}^{{{power}}}"
-
-
-def _sym_arg_latex(a: int, b: int, stem: str) -> str:
-    if (a, b) == (0, 0):
-        return "1"
-    if a == b:
-        return f"{_psi_var_latex(stem, 1, a)}{_psi_var_latex(stem, 2, a)}"
-    if b == 0:
-        return f"{_psi_var_latex(stem, 1, a)} + {_psi_var_latex(stem, 2, a)}"
-    return (f"{_psi_var_latex(stem, 1, a)}{_psi_var_latex(stem, 2, b)} + "
-            f"{_psi_var_latex(stem, 1, b)}{_psi_var_latex(stem, 2, a)}")
-
-
-def gen_latex(g: Gen) -> str:
-    k = g.kind
-    if k == KAPPA:
-        return f"\\kappa_{{{g.args[0]}}}"
-    if k == KAPPATILDE:
-        return f"\\tilde{{\\kappa}}_{{{g.args[0]}}}"
-    if k == PSIPOW:
-        return "\\psi" if g.args[0] == 1 else f"\\psi^{{({g.args[0]})}}"
-    if k == PSI:
-        return f"\\psi_{{{g.args[0]}}}"
-    if k == CHE:
-        return "\\lambda" if g.args[0] == 1 else f"\\mathrm{{ch}}_{{{g.args[0]}}}(\\mathbb{{E}})"
-    if k == DELTA:
-        return "\\delta"
-    if k == BIRR:
-        return f"\\xi_{{\\mathrm{{irr}}*}}({_sym_arg_latex(g.args[0], g.args[1], 'q')})"
-    if k == BSEPA:
-        return (f"\\sum_{{h,A}} \\xi_{{h,A*}}"
-                f"({_sym_arg_latex(g.args[0], g.args[1], 'r')})")
-    if k == BSEP:
-        h, lab, a, b = g.args
-        inner = ",".join(lab)
-        return (f"\\xi_{{{h},\\{{{inner}\\}}*}}"
-                f"({_sym_arg_latex(a, b, 'r')})")
-    raise DomainError(f"unknown generator kind {k!r}")
+def _gen(g: Gen, s: Spelling) -> str:
+    kind, args = g.kind, g.args
+    if kind == BSEP:
+        h, lab, a, b = args
+        return s.gens[kind].format(h, ",".join(lab), _sym_arg(a, b, _NODE_STEM[kind], s))
+    if kind in _NODE_STEM:
+        return s.gens[kind].format(_sym_arg(*args, _NODE_STEM[kind], s))
+    if args == (1,) and kind in s.unit_names:
+        return s.unit_names[kind]
+    return s.gens[kind].format(*args)
 
 
 def _display_terms(e: TautExpr):
@@ -153,60 +181,25 @@ def _grouped(mono: tuple[Gen, ...]) -> list[tuple[Gen, int]]:
     return out
 
 
-def render_text(e: TautExpr) -> str:
+def _render_terms(e: TautExpr, s: Spelling) -> str:
     if not e.terms:
         return "0"
     pieces = []
     for mono, coeff in _display_terms(e):
         mag = abs(coeff)
-        mono_str = "*".join(
-            gen_text(g) if p == 1 else f"{gen_text(g)}^{p}"
+        mono_str = s.times.join(
+            _gen(g, s) if p == 1 else s.power.format(_gen(g, s), p)
             for g, p in _grouped(mono))
-        if not mono:
-            body = format_rational(mag)
-        elif mag == 1:
-            body = mono_str
-        elif mag.denominator == 1:
-            body = f"{format_rational(mag)}*{mono_str}"
-        else:
-            body = f"{format_rational(mag)} {mono_str}"
-        pieces.append((coeff < 0, body))
-    first_neg, first_body = pieces[0]
-    out = ("-" if first_neg else "") + first_body
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
-
-
-def _coeff_latex(q: Fraction) -> str:
-    sign = "-" if q < 0 else ""
-    mag = abs(q)
-    if mag.denominator == 1:
-        return f"{sign}{mag.numerator}"
-    return f"{sign}\\tfrac{{{mag.numerator}}}{{{mag.denominator}}}"
-
-
-def render_latex(e: TautExpr) -> str:
-    if not e.terms:
-        return "0"
-    pieces = []
-    for mono, coeff in _display_terms(e):
-        mag = abs(coeff)
-        mono_str = "\\,".join(
-            gen_latex(g) if p == 1 else f"{gen_latex(g)}^{{{p}}}"
-            for g, p in _grouped(mono))
-        if not mono:
-            body = _coeff_latex(mag)
-        elif mag == 1:
+        if mag == 1 and mono:
             body = mono_str
         else:
-            body = f"{_coeff_latex(mag)}\\,{mono_str}"
-        pieces.append((coeff < 0, body))
-    first_neg, first_body = pieces[0]
-    out = ("-" if first_neg else "") + first_body
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+            number, sep = s.coeff(mag)
+            body = number + sep + mono_str if mono else number
+        pieces.append((" - " if coeff < 0 else " + ") + body)
+    # The leading term carries a bare minus sign and no plus sign.
+    lead = pieces[0]
+    pieces[0] = ("-" if lead[1] == "-" else "") + lead[3:]
+    return "".join(pieces)
 
 
 def _gen_json(g: Gen) -> dict:
@@ -237,62 +230,87 @@ def render_json_dict(e: TautExpr) -> dict:
     }
 
 
-def render_json(e: TautExpr) -> str:
-    return json.dumps(render_json_dict(e), indent=2)
-
-
 def render(e: TautExpr, fmt: str = "text") -> str:
-    if fmt == "text":
-        return render_text(e)
-    if fmt == "latex":
-        return render_latex(e)
     if fmt == "json":
-        return render_json(e)
-    raise DomainError(f"unknown output format {fmt!r}; expected one of {FORMATS}")
+        return json.dumps(render_json_dict(e), indent=2)
+    if fmt not in _SPELLINGS:
+        raise DomainError(f"unknown output format {fmt!r}; expected one of {FORMATS}")
+    return _render_terms(e, _SPELLINGS[fmt])
 
 
-def _gen_from_json(doc: dict, spec: ModuliSpec) -> Gen:
-    kind = doc.get("gen")
-    args = doc.get("args", [])
-    if kind == KAPPA:
-        return kappa(args[0])
-    if kind == KAPPATILDE:
-        return kappa_tilde(args[0])
-    if kind == PSIPOW:
-        return psi_power_sum(args[0])
-    if kind == PSI:
-        return marked_psi(args[0])
-    if kind == CHE:
-        return hodge_component(args[0])
-    if kind == DELTA:
-        return delta_class()
-    if kind == BIRR:
-        return irr_push(args[0], args[1])
-    if kind == BSEPA:
-        return sep_push_sum(args[0], args[1])
+# JSON generator name -> (factory, JSON types of its arguments); sep_push
+# is built on the spec, from (h, label list, a, b).
+_FACTORIES = {
+    KAPPA: (kappa, (int,)),
+    KAPPATILDE: (kappa_tilde, (int,)),
+    PSIPOW: (psi_power_sum, (int,)),
+    PSI: (marked_psi, (str,)),
+    CHE: (hodge_component, (int,)),
+    DELTA: (delta_class, ()),
+    BIRR: (irr_push, (int, int)),
+    BSEPA: (sep_push_sum, (int, int)),
+    BSEP: (None, (int, list, int, int)),
+}
+
+_JSON_TYPES = {int: "an integer", str: "a string", list: "an array", dict: "an object"}
+_RATIONAL = re.compile(r"-?\d+(/\d+)?")
+
+
+def _expect(value, kind: type, what: str):
+    """value itself, if its JSON type is kind (a bool is not an integer)."""
+    if type(value) is not kind:
+        raise DomainError(f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def _coeff_from_json(value) -> Fraction:
+    if type(value) is int:
+        return Fraction(value)
+    if type(value) is str and _RATIONAL.fullmatch(value):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise DomainError(f"coefficient must be an integer or a string p or p/q, got {value!r}")
+
+
+def _gen_from_json(doc, spec: ModuliSpec) -> Gen:
+    doc = _expect(doc, dict, "generator")
+    kind = _expect(doc.get("gen"), str, "generator name")
+    args = _expect(doc.get("args", []), list, f"{kind} arguments")
+    if kind not in _FACTORIES:
+        raise DomainError(f"unknown generator name {kind!r} in JSON input")
+    factory, types = _FACTORIES[kind]
+    if len(args) != len(types) or any(type(a) is not t for a, t in zip(args, types)):
+        raise DomainError(f"{kind} takes arguments "
+                          f"({', '.join(_JSON_TYPES[t] for t in types)}), got {args!r}")
     if kind == BSEP:
         h, lab, a, b = args
-        return spec.sep_push(h, tuple(lab), a, b)
-    raise DomainError(f"unknown generator name {kind!r} in JSON input")
+        return spec.sep_push(h, tuple(_expect(p, str, "label") for p in lab), a, b)
+    return factory(*args)
 
 
 def expr_from_json_dict(doc: dict) -> TautExpr:
+    doc = _expect(doc, dict, "expression document")
     try:
-        g = int(doc["g"])
-        n = int(doc["n"])
-        order = int(doc["degree"])
-        mode = doc.get("mode", "generic")
-        labels = tuple(doc.get("labels") or default_labels(n))
-        terms = doc["terms"]
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed expression document: {exc}") from None
+        g, n, order, terms = doc["g"], doc["n"], doc["degree"], doc["terms"]
+    except KeyError as exc:
+        raise DomainError(f"malformed expression document: missing {exc}") from None
+    for value, what in ((g, "g"), (n, "n"), (order, "degree")):
+        _expect(value, int, what)
+    mode = doc.get("mode", "generic")
+    if mode not in ("generic", "concrete"):
+        raise DomainError(f"mode must be 'generic' or 'concrete', got {mode!r}")
+    labels = _expect(doc.get("labels") or list(default_labels(n)), list, "labels")
     if len(labels) != n:
         raise DomainError(f"label list has {len(labels)} entries but n = {n}")
-    spec = ModuliSpec(g, labels, concrete=(mode == "concrete"))
+    spec = ModuliSpec(g, tuple(labels), concrete=(mode == "concrete"))
     items = []
-    for t in terms:
-        coeff = Fraction(t["coeff"])
-        gens = tuple(_gen_from_json(gd, spec) for gd in t["monomial"])
+    for t in _expect(terms, list, "terms"):
+        t = _expect(t, dict, "term")
+        coeff = _coeff_from_json(t.get("coeff"))
+        gens = tuple(_gen_from_json(gd, spec)
+                     for gd in _expect(t.get("monomial"), list, "monomial"))
         items.append((gens, coeff))
     return TautExpr.build(spec, order, items)
 
@@ -300,6 +318,6 @@ def expr_from_json_dict(doc: dict) -> TautExpr:
 def expr_from_json(text: str) -> TautExpr:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DomainError(f"invalid JSON: {exc}") from None
     return expr_from_json_dict(doc)

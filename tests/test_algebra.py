@@ -16,7 +16,6 @@ from tautchern import (
     delta_as_atoms,
     delta_class,
     expand_concrete,
-    expr_equal,
     hodge_component,
     irr_push,
     kappa,
@@ -83,6 +82,11 @@ def test_spec_validates_genus_and_labels():
         ModuliSpec(-1, default_labels(4))
     with pytest.raises(DomainError):
         ModuliSpec(2, ("p1", "p1"))
+    # Labels print inside "{...}" and are joined by ","; these would make
+    # a rendered atom ambiguous.
+    for bad in ("", "a,b", "b}", "{a", "a b", "a\tb", 1, None):
+        with pytest.raises(DomainError, match="marking label"):
+            ModuliSpec(2, ("p1", bad))
 
 
 @pytest.mark.parametrize("g,n,dim", [
@@ -322,8 +326,8 @@ def test_expr_equal_is_canonical_comparison():
          + TautExpr.of(SPEC21, 2, delta_class()))
     b = (TautExpr.of(SPEC21, 2, delta_class())
          + TautExpr.of(SPEC21, 2, kappa(1)))
-    assert expr_equal(a, b)
-    assert not expr_equal(a, a.scale(2))
+    assert a == b
+    assert a != a.scale(2)
 
 
 # ---------------------------------------------------------- concrete expansion

@@ -132,6 +132,14 @@ def test_spec_flag_validation(capsys):
     assert code == 2 and "--n or --labels" in err
 
 
+@pytest.mark.parametrize("labels", ["a,b},c,d", "a,,b,c", "a,b,c,", "a b,c,d,e"])
+def test_malformed_labels_exit_two(capsys, labels):
+    code, out, err = run(capsys, "ch", "--g", "0", "--labels", labels,
+                         "--degree", "1", "--mode", "concrete")
+    assert code == 2 and out == ""
+    assert "marking label" in err
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

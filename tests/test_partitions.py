@@ -15,7 +15,6 @@ from tautchern import (
     partitions,
     power_sym,
 )
-from tautchern.partitions import sym_scale
 
 
 def test_partitions_of_four_golden():
@@ -132,10 +131,3 @@ def test_alternating_sym_telescopes(k, x, y):
     """(x + y) times the alternating sum is x^(k+1) + y^(k+1)."""
     lhs = Fraction(x + y) * eval_sym(alternating_sym(k), x, y)
     assert lhs == Fraction(x) ** (k + 1) + Fraction(y) ** (k + 1)
-
-
-def test_sym_scale():
-    poly = {(2, 0): Fraction(1), (1, 1): Fraction(2)}
-    assert sym_scale(poly, Fraction(1, 2)) == {
-        (2, 0): Fraction(1, 2), (1, 1): Fraction(1)}
-    assert sym_scale(poly, Fraction(0)) == {}

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tautchern import (
     DomainError,
@@ -116,6 +118,40 @@ def test_latex_golden():
     assert render(lam * lam, "latex") == "\\lambda^{2}"
 
 
+CONCRETE32 = ModuliSpec(3, default_labels(2), concrete=True)
+
+
+def _single(gen, coeff=1, spec=SPEC21):
+    return TautExpr.of(spec, 6, gen, coeff)
+
+
+@pytest.mark.parametrize("expr, text, latex", [
+    (_single(psi_power_sum(2)), "psi^(2)", "\\psi^{(2)}"),
+    (_single(marked_psi("p1"), spec=ModuliSpec(2, default_labels(1), concrete=True)),
+     "psi_{p1}", "\\psi_{p1}"),
+    (_single(hodge_component(3)), "ch_3(E)", "\\mathrm{ch}_{3}(\\mathbb{E})"),
+    (_single(irr_push(1, 1)), "xi_irr_*(psi_{q1}*psi_{q2})",
+     "\\xi_{\\mathrm{irr}*}(\\psi_{q_1}\\psi_{q_2})"),
+    (_single(irr_push(2, 1)),
+     "xi_irr_*(psi_{q1}^2*psi_{q2} + psi_{q1}*psi_{q2}^2)",
+     "\\xi_{\\mathrm{irr}*}(\\psi_{q_1}^{2}\\psi_{q_2} + \\psi_{q_1}\\psi_{q_2}^{2})"),
+    (_single(sep_push_sum(1, 0)), "sum_{h,A} xi_{h,A}_*(psi_{r1} + psi_{r2})",
+     "\\sum_{h,A} \\xi_{h,A*}(\\psi_{r_1} + \\psi_{r_2})"),
+    (_single(CONCRETE32.sep_push(2, ("p1",), 1, 0), spec=CONCRETE32),
+     "xi_{1,{p2}}_*(psi_{r1} + psi_{r2})",
+     "\\xi_{1,\\{p2\\}*}(\\psi_{r_1} + \\psi_{r_2})"),
+    (_single((kappa(1), kappa(1), delta_class()), 2), "2*kappa_1^2*delta",
+     "2\\,\\kappa_{1}^{2}\\,\\delta"),
+    (_single(kappa_tilde(1), Fraction(-1, 2)) + _single(hodge_component(1)),
+     "-1/2 kappa~_1 + lambda", "-\\tfrac{1}{2}\\,\\tilde{\\kappa}_{1} + \\lambda"),
+    (TautExpr.one(SPEC21, 6).scale(Fraction(-3, 2)) + _single(psi_power_sum(1), -1),
+     "-3/2 - psi", "-\\tfrac{3}{2} - \\psi"),
+])
+def test_every_generator_spelling(expr, text, latex):
+    assert render(expr, "text") == text
+    assert render(expr, "latex") == latex
+
+
 def test_unknown_format_rejected():
     with pytest.raises(DomainError):
         render(TautExpr.one(SPEC21, 1), "html")
@@ -156,19 +192,94 @@ def test_json_round_trip_preserves_mode_and_labels():
     assert back == e
 
 
-def test_json_parse_errors():
+DELETE = object()
+
+
+def _mutate(doc, path, value=DELETE):
+    """doc with the entry at path replaced by value, or deleted."""
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+def _mutated(path, value=DELETE):
+    """The canonical class document, mutated at path, as JSON text."""
+    return json.dumps(_mutate(render_json_dict(canonical_class(SPEC21)), path, value))
+
+
+SEP_DOC = json.dumps({
+    "g": 0, "n": 4, "degree": 1, "mode": "concrete", "terms": [
+        {"coeff": "1", "monomial": [{"gen": "sep_push", "args": [1]}]}]})
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("not json at all {", id="not-json"),
+    pytest.param("[" * 100_000, id="deeply-nested"),
+    pytest.param(json.dumps({"g": 2}), id="missing-keys"),
+    pytest.param(json.dumps([1, 2]), id="not-an-object"),
+    pytest.param(_mutated(("labels",), ["p1", "p2"]), id="label-count"),
+    pytest.param(_mutated(("labels",), [1]), id="label-not-str"),
+    pytest.param(_mutated(("mode",), "weird"), id="unknown-mode"),
+    pytest.param(_mutated(("g",), "x"), id="genus-not-int"),
+    pytest.param(_mutated(("g",), True), id="genus-bool"),
+    pytest.param(_mutated(("terms",), 5), id="terms-not-list"),
+    pytest.param(_mutated(("terms", 0, "monomial")), id="missing-monomial"),
+    pytest.param(_mutated(("terms", 0, "coeff"), "x"), id="coeff-not-rational"),
+    pytest.param(_mutated(("terms", 0, "coeff"), "1/0"), id="coeff-zero-denominator"),
+    pytest.param(_mutated(("terms", 0, "coeff"), 0.5), id="coeff-float"),
+    pytest.param(_mutated(("terms", 0, "monomial", 0, "gen"), "mystery"), id="unknown-gen"),
+    pytest.param(_mutated(("terms", 0, "monomial", 0, "gen"), ["kappa"]), id="gen-not-str"),
+    pytest.param(_mutated(("terms", 0, "monomial", 0), {"gen": "kappa"}), id="missing-args"),
+    pytest.param(_mutated(("terms", 0, "monomial", 0, "args"), ["2"]), id="arg-not-int"),
+    pytest.param(_mutated(("terms", 0, "monomial", 0, "args"), 1), id="args-not-list"),
+    pytest.param(SEP_DOC, id="sep-push-arity"),
+    pytest.param(SEP_DOC.replace("[1]", '[0, [["p1"]], 0, 0]'), id="sep-push-label"),
+])
+def test_json_parse_errors(text):
     with pytest.raises(DomainError):
-        expr_from_json("not json at all {")
-    with pytest.raises(DomainError):
-        expr_from_json(json.dumps({"g": 2}))
-    good = render_json_dict(canonical_class(SPEC21))
-    bad_labels = dict(good, labels=["p1", "p2"])
-    with pytest.raises(DomainError):
-        expr_from_json(json.dumps(bad_labels))
-    bad_gen = json.loads(json.dumps(good))
-    bad_gen["terms"][0]["monomial"][0]["gen"] = "mystery"
-    with pytest.raises(DomainError):
-        expr_from_json(json.dumps(bad_gen))
+        expr_from_json(text)
+
+
+# Documents to mutate: generic, and concrete with named atoms and psi.
+MUTATION_BASES = [
+    render_json_dict(canonical_class(SPEC21)),
+    render_json_dict(ch_cotangent(ModuliSpec(1, ("a", "b", "c"), concrete=True), 2)),
+    render_json_dict(canonical_class(ModuliSpec(0, default_labels(4), concrete=True))),
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(["1/2", "-3", "kappa", "hodge_ch", "psi", "irr_push",
+                       "sep_push", "generic", "concrete", "p1", "a"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def _paths(node, prefix=()):
+    """Every path from the root of a JSON document to one of its entries."""
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@given(st.data())
+def test_mutated_json_round_trips_or_raises_domain_error(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(MUTATION_BASES)))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    _mutate(doc, path, data.draw(st.just(DELETE) | JSON_VALUES))
+    try:
+        e = expr_from_json(json.dumps(doc))
+    except DomainError:
+        return
+    assert expr_from_json(render(e, "json")) == e
 
 
 def test_rendering_is_deterministic_across_term_order():
