@@ -2,7 +2,7 @@
 
 Generators are small frozen records (kind + integer/label arguments).  A
 monomial is a sorted tuple of generators; an expression is a canonical
-sorted tuple of (monomial, coefficient) pairs attached to a moduli
+tuple of (monomial, coefficient) pairs, in print order, attached to a moduli
 specification and a truncation order.  All coefficients are exact
 Fractions, and everything is immutable after construction.
 
@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .rationals import DomainError
@@ -34,7 +36,8 @@ BIRR = "irr_push"
 BSEPA = "sep_push_sum"
 BSEP = "sep_push"
 
-# Canonical storage order (fixed once, golden tests depend on it).
+# Canonical order of generators inside a monomial (fixed once, golden
+# tests depend on it).
 _CANON_ORDER = {
     KAPPA: 0,
     KAPPATILDE: 1,
@@ -201,67 +204,51 @@ class ModuliSpec:
     def dimension(self) -> int:
         return 3 * self.genus - 3 + self.n
 
-    def _indices(self, labels: Iterable[str]) -> tuple[int, ...]:
-        pos = {p: i for i, p in enumerate(self.labels)}
-        try:
-            idx = tuple(sorted(pos[p] for p in labels))
-        except KeyError as exc:
-            raise DomainError(f"unknown marking label {exc.args[0]!r}") from None
-        if len(set(idx)) != len(idx):
+    def _positions(self, labels: Iterable[str]) -> tuple[int, ...]:
+        """Sorted marking positions of a label subset given in any form."""
+        lab = tuple(labels)
+        for p in lab:
+            if p not in self.labels:
+                raise DomainError(f"unknown marking label {p!r}")
+        if len(set(lab)) != len(lab):
             raise DomainError("repeated marking label in subset")
-        return idx
-
-    def _subset(self, indices: Iterable[int]) -> tuple[str, ...]:
-        return tuple(self.labels[i] for i in sorted(indices))
+        return tuple(sorted(map(self.labels.index, lab)))
 
     def splitting_is_stable(self, h: int, labels: Iterable[str]) -> bool:
         """Both sides of the separating splitting (h, A) must be stable."""
         if h < 0 or h > self.genus:
             return False
-        size = len(self._indices(labels))
+        size = len(self._positions(labels))
         return (2 * h - 1 + size > 0) and (2 * (self.genus - h) - 1 + (self.n - size) > 0)
 
     def ordered_splittings(self) -> list[tuple[int, tuple[str, ...]]]:
         """Every ordered stable pair (h, A), in a fixed deterministic order."""
-        out = []
-        for h in range(self.genus + 1):
-            for size in range(self.n + 1):
-                for idx in itertools.combinations(range(self.n), size):
-                    a_side = 2 * h - 1 + size
-                    b_side = 2 * (self.genus - h) - 1 + (self.n - size)
-                    if a_side > 0 and b_side > 0:
-                        out.append((h, self._subset(idx)))
-        return out
+        return list(_splitting_table(self))
 
     def mirror_splitting(self, h: int, labels: Iterable[str]) -> tuple[int, tuple[str, ...]]:
-        idx = set(self._indices(labels))
-        comp = tuple(i for i in range(self.n) if i not in idx)
-        return (self.genus - h, self._subset(comp))
+        idx = self._positions(labels)
+        return (self.genus - h, tuple(p for i, p in enumerate(self.labels) if i not in idx))
 
     def canonical_splitting(self, h: int, labels: Iterable[str]) -> tuple[int, tuple[str, ...]]:
-        """The smaller of (h, A) and its mirror under a fixed total order."""
-        a = (h, self._subset(self._indices(labels)))
-        b = self.mirror_splitting(h, labels)
-
-        def key(side):
-            hh, lab = side
-            return (hh, len(lab), self._indices(lab))
-
-        return a if key(a) <= key(b) else b
+        """The smaller of (h, A) and its mirror, compared by (h, |A|,
+        marking positions of A)."""
+        idx = self._positions(labels)
+        comp = tuple(i for i in range(self.n) if i not in idx)
+        hh, _, pos = min((h, len(idx), idx), (self.genus - h, len(comp), comp))
+        return hh, tuple(self.labels[i] for i in pos)
 
     def splitting_classes(self) -> list[tuple[int, tuple[str, ...], int]]:
         """Canonical separating divisor representatives with multiplicities.
 
         The multiplicity counts ordered splittings in the class: 2 for a
         divisor whose mirror differs, 1 for the self-mirror middle case
-        (even genus, no markings).
+        (even genus, no markings).  Representatives come in the table's
+        order, which is the order of the canonical comparison.
         """
-        counts: dict[tuple[int, tuple[str, ...]], int] = {}
-        for h, lab in self.ordered_splittings():
-            rep = self.canonical_splitting(h, lab)
-            counts[rep] = counts.get(rep, 0) + 1
-        return [(h, lab, counts[(h, lab)]) for (h, lab) in sorted(
-            counts, key=lambda side: (side[0], len(side[1]), self._indices(side[1])))]
+        table = _splitting_table(self)
+        counts = Counter(table.values())
+        return [(h, lab, counts[side]) for (h, lab), side in table.items()
+                if side == (h, lab)]
 
     def boundary_divisors(self) -> list[tuple]:
         """Canonical list of boundary divisors: ("irr",) then ("sep", h, A)."""
@@ -290,6 +277,23 @@ class ModuliSpec:
             )
         ch, clab = self.canonical_splitting(h, labels)
         return Gen(BSEP, (ch, clab, max(a, b), min(a, b)))
+
+
+@lru_cache(maxsize=32)
+def _splitting_table(spec: ModuliSpec) -> dict:
+    """Every ordered stable splitting (h, A) of spec mapped to the canonical
+    side of its class, in enumeration order: h, then |A|, then A by
+    marking positions.  Computed once per specification and shared, so
+    callers only read it."""
+    g, n = spec.genus, spec.n
+    table = {}
+    for h in range(g + 1):
+        for size in range(n + 1):
+            if 2 * h - 1 + size > 0 and 2 * (g - h) - 1 + (n - size) > 0:
+                for idx in itertools.combinations(range(n), size):
+                    lab = tuple(spec.labels[i] for i in idx)
+                    table[(h, lab)] = spec.canonical_splitting(h, lab)
+    return table
 
 
 Monomial = tuple[Gen, ...]
@@ -335,7 +339,9 @@ def _monomial_vanishes(mono: Monomial, spec: ModuliSpec) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class TautExpr:
-    """Canonical graded expression: sorted (monomial, coefficient) pairs."""
+    """Canonical graded expression: (monomial, coefficient) pairs in print
+    order.  Raw input is checked in build, the generator factories and
+    sep_push; arithmetic trusts its operands and only merges terms."""
 
     spec: ModuliSpec
     order: int
@@ -353,10 +359,7 @@ class TautExpr:
         """
         if order < 0:
             raise DomainError(f"truncation order must be >= 0, got {order}")
-        cap = order
-        if spec.concrete:
-            cap = min(cap, spec.dimension)
-        acc: dict[Monomial, Fraction] = {}
+        checked = []
         for gens, coeff in items:
             q = Fraction(coeff)
             if q == 0:
@@ -364,16 +367,25 @@ class TautExpr:
             mono = monomial(*gens)
             for g in mono:
                 _validate_gen(g, spec)
-            if monomial_degree(mono) > cap:
-                continue
-            if _monomial_vanishes(mono, spec):
-                continue
-            acc[mono] = acc.get(mono, Fraction(0)) + q
-        terms = tuple(sorted(
-            ((m, c) for m, c in acc.items() if c != 0),
-            key=lambda mc: (monomial_degree(mc[0]), tuple(g.sort_key() for g in mc[0])),
-        ))
-        return TautExpr(spec, order, terms)
+            if not _monomial_vanishes(mono, spec):
+                checked.append((mono, q))
+        return TautExpr._collect(spec, order, checked)
+
+    @staticmethod
+    def _collect(spec: ModuliSpec, order: int,
+                 pairs: Iterable[tuple[Monomial, Fraction]]) -> "TautExpr":
+        """Merge (monomial, coefficient) pairs that are already canonical on
+        spec: sum repeated monomials, drop zero sums and terms above the
+        cap, and sort into print order: by degree, then by the display keys
+        of the monomial's generators."""
+        cap = min(order, spec.dimension) if spec.concrete else order
+        acc: dict[Monomial, Fraction] = {}
+        for mono, q in pairs:
+            acc[mono] = acc.get(mono, 0) + q
+        terms = [(m, c) for m, c in acc.items() if c and monomial_degree(m) <= cap]
+        terms.sort(key=lambda mc: (monomial_degree(mc[0]),
+                                   tuple(g.display_key() for g in mc[0])))
+        return TautExpr(spec, order, tuple(terms))
 
     @staticmethod
     def zero(spec: ModuliSpec, order: int) -> "TautExpr":
@@ -401,8 +413,7 @@ class TautExpr:
 
     def __add__(self, other: "TautExpr") -> "TautExpr":
         self._check_compatible(other)
-        return TautExpr.build(self.spec, self.order,
-                              list(self.terms) + list(other.terms))
+        return TautExpr._collect(self.spec, self.order, self.terms + other.terms)
 
     def __sub__(self, other: "TautExpr") -> "TautExpr":
         return self + (-other)
@@ -412,16 +423,14 @@ class TautExpr:
 
     def scale(self, q: Fraction | int) -> "TautExpr":
         q = Fraction(q)
-        return TautExpr.build(self.spec, self.order,
-                              [(m, c * q) for m, c in self.terms])
+        return TautExpr._collect(self.spec, self.order,
+                                 [(m, c * q) for m, c in self.terms])
 
     def __mul__(self, other: "TautExpr") -> "TautExpr":
         self._check_compatible(other)
-        items = []
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                items.append((m1 + m2, c1 * c2))
-        return TautExpr.build(self.spec, self.order, items)
+        return TautExpr._collect(self.spec, self.order, (
+            (monomial(*m1, *m2), c1 * c2)
+            for m1, c1 in self.terms for m2, c2 in other.terms))
 
     def __pow__(self, k: int) -> "TautExpr":
         if k < 0:
@@ -438,9 +447,9 @@ class TautExpr:
         return sorted({monomial_degree(m) for m, _ in self.terms})
 
     def component(self, d: int) -> "TautExpr":
-        return TautExpr.build(self.spec, self.order,
-                              [(m, c) for m, c in self.terms
-                               if monomial_degree(m) == d])
+        return TautExpr._collect(self.spec, self.order,
+                                 [(m, c) for m, c in self.terms
+                                  if monomial_degree(m) == d])
 
     def coefficient(self, gens: Gen | Iterable[Gen]) -> Fraction:
         if isinstance(gens, Gen):
@@ -461,13 +470,8 @@ class TautExpr:
         """
         tspec = spec if spec is not None else self.spec
         torder = order if order is not None else self.order
-        out = TautExpr.zero(tspec, torder)
-        for m, c in self.terms:
-            piece = TautExpr.build(tspec, torder, [((), c)])
-            for g in m:
-                piece = piece * fn(g)
-            out = out + piece
-        return out
+        return sum_of_products(tspec, torder,
+                               ((c, map(fn, m)) for m, c in self.terms))
 
     def substitute(self, rules: Mapping[Gen, "TautExpr"]) -> "TautExpr":
         """Replace generators by expressions of the same degree everywhere."""
@@ -486,6 +490,25 @@ class TautExpr:
             return TautExpr.of(self.spec, self.order, g)
 
         return self.map_generators(fn)
+
+
+def sum_of_products(spec: ModuliSpec, order: int,
+                    products: Iterable[tuple[Fraction, Iterable[TautExpr]]]) -> TautExpr:
+    """The sum of c * f1 * f2 * ... over the (c, factors) pairs, merged once.
+
+    Products of canonical expressions are canonical, so their terms are
+    streamed into one collector call and only one product is held at a time.
+    """
+    one = TautExpr.one(spec, order)
+
+    def terms():
+        for c, factors in products:
+            piece = one.scale(c)
+            for f in factors:
+                piece = piece * f
+            yield from piece.terms
+
+    return TautExpr._collect(spec, order, terms())
 
 
 def delta_as_atoms(spec: ModuliSpec, order: int) -> TautExpr:

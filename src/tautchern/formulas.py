@@ -40,6 +40,7 @@ from .algebra import (
     monomial_degree,
     psi_power_sum,
     sep_push_sum,
+    sum_of_products,
 )
 from .partitions import (
     SymPoly2,
@@ -257,17 +258,10 @@ def chern_from_ch(ch: Mapping[int, TautExpr], jmax: int) -> list[TautExpr]:
     if missing:
         raise DomainError(f"missing Chern character components {missing}")
     probe = ch[1]
-    out = []
-    for j in range(1, jmax + 1):
-        acc = TautExpr.zero(probe.spec, probe.order)
-        for mu in partitions(j):
-            piece = TautExpr.one(probe.spec, probe.order).scale(
-                partition_chern_coeff(mu))
-            for part in mu:
-                piece = piece * ch[part]
-            acc = acc + piece
-        out.append(acc)
-    return out
+    return [sum_of_products(probe.spec, probe.order,
+                            ((partition_chern_coeff(mu), [ch[part] for part in mu])
+                             for mu in partitions(j)))
+            for j in range(1, jmax + 1)]
 
 
 def chern_exp_oracle(ch: Mapping[int, TautExpr], jmax: int) -> list[TautExpr]:

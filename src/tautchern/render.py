@@ -42,7 +42,6 @@ from .algebra import (
     kappa,
     kappa_tilde,
     marked_psi,
-    monomial_degree,
     psi_power_sum,
     sep_push_sum,
     delta_class,
@@ -164,12 +163,6 @@ def _gen(g: Gen, s: Spelling) -> str:
     return s.gens[kind].format(*args)
 
 
-def _display_terms(e: TautExpr):
-    return sorted(e.terms,
-                  key=lambda mc: (monomial_degree(mc[0]),
-                                  tuple(g.display_key() for g in mc[0])))
-
-
 def _grouped(mono: tuple[Gen, ...]) -> list[tuple[Gen, int]]:
     """Collapse a sorted monomial into (generator, exponent) runs."""
     out: list[tuple[Gen, int]] = []
@@ -185,7 +178,7 @@ def _render_terms(e: TautExpr, s: Spelling) -> str:
     if not e.terms:
         return "0"
     pieces = []
-    for mono, coeff in _display_terms(e):
+    for mono, coeff in e.terms:
         mag = abs(coeff)
         mono_str = s.times.join(
             _gen(g, s) if p == 1 else s.power.format(_gen(g, s), p)
@@ -225,7 +218,7 @@ def render_json_dict(e: TautExpr) -> dict:
                 "monomial": [_gen_json(g)
                              for g in sorted(m, key=Gen.display_key)],
             }
-            for m, c in _display_terms(e)
+            for m, c in e.terms
         ],
     }
 

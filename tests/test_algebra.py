@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from oracles import FIVE_SPECS, boundary_class_count
 from tautchern import (
     DomainError,
+    Gen,
     ModuliSpec,
     TautExpr,
     default_labels,
@@ -120,6 +121,31 @@ def test_mirror_and_canonical_splitting():
     assert spec.canonical_splitting(3, ()) == (0, ("p1", "p2"))
     assert spec.canonical_splitting(2, ("p1",)) == (1, ("p2",))
     assert spec.canonical_splitting(1, ("p2",)) == (1, ("p2",))
+
+
+SPEC32C = ModuliSpec(3, default_labels(2), concrete=True)
+SPEC21C = ModuliSpec(2, default_labels(1), concrete=True)
+
+
+@pytest.mark.parametrize("spec,gen", [
+    (SPEC32C, Gen("sep_push", (2, ("p1",), 0, 0))),
+    (SPEC21C, Gen("sep_push", (0, (), 0, 0))),
+    (SPEC32C, Gen("sep_push", (1, ("zz",), 0, 0))),
+    (SPEC32C, Gen("sep_push", (1, ("p1", "p1"), 0, 0))),
+    (SPEC32C, Gen("sep_push", (1, ["p2"], 0, 0))),
+    (SPEC32C, Gen("sep_push", (1, ("p2",), 0, 1))),
+    (SPEC32C, Gen("irr_push", (0, 2))),
+], ids=["non-canonical-side", "unstable-side", "unknown-label",
+        "repeated-label", "list-labels", "unsorted-sep-key", "unsorted-irr-key"])
+def test_hand_built_generators_raise_through_build(spec, gen):
+    """Generators made without the factories are checked where they enter."""
+    with pytest.raises(DomainError):
+        TautExpr.build(spec, 2, [((gen,), 1)])
+
+
+def test_canonical_splitting_of_an_unstable_side():
+    assert SPEC32C.canonical_splitting(0, ("p1",)) == (0, ("p1",))
+    assert not SPEC32C.splitting_is_stable(0, ("p1",))
 
 
 @pytest.mark.parametrize("g,n", FIVE_SPECS)

@@ -318,6 +318,20 @@ def test_generic_then_concrete_equals_concrete_direct(g, n):
         ch_cotangent(concrete, 3)
 
 
+@pytest.mark.parametrize("basis", ("kappa", "lambda"))
+@pytest.mark.parametrize("bundle", ("cotangent", "tangent"))
+@pytest.mark.parametrize("g,n,jmax", [
+    (0, 5, 2), (1, 2, 2), (1, 3, 3), (2, 0, 3), (2, 1, 3)])
+def test_concrete_chern_classes_equal_expanded_generic_ones(g, n, jmax, bundle, basis):
+    """expand_concrete is a ring map, so it carries the generic Chern
+    classes onto the ones computed divisor by divisor."""
+    generic = ModuliSpec(g, default_labels(n))
+    concrete = ModuliSpec(g, default_labels(n), concrete=True)
+    _, classes = chern_classes(generic, jmax, bundle, basis)
+    _, direct = chern_classes(concrete, jmax, bundle, basis)
+    assert [expand_concrete(c) for c in classes] == direct
+
+
 def test_concrete_sep_coefficient_merging():
     """One self-mirror divisor keeps the generic coefficient; a mirror
     pair folds two ordered splittings onto one atom and doubles it."""

@@ -192,6 +192,15 @@ def test_json_round_trip_preserves_mode_and_labels():
     assert back == e
 
 
+def test_json_sep_atom_on_many_markings():
+    """An atom is checked on its own: a spec with 2^40 splittings parses
+    one of them without listing the rest."""
+    spec = ModuliSpec(1, default_labels(40), concrete=True)
+    e = TautExpr.of(spec, 1, spec.sep_push(0, ("p2", "p1"), 0, 0))
+    assert expr_from_json(render(e, "json")) == e
+    assert spec.splitting_is_stable(1, ("p3",))
+
+
 DELETE = object()
 
 
