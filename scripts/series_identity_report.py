@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 from fractions import Fraction
+from math import factorial
 
 from tautchern import (
     bernoulli,
@@ -67,18 +68,11 @@ def marked_point_report(order: int) -> None:
     plus_ok = check_marked_point(order, tail_sign=1)
     print(f"  subtracted tail matches product: {minus_ok}")
     print(f"  added tail matches product:      {plus_ok}")
-    gap = [(m, minus - Fraction(2, 1) / _factorial(m))
+    gap = [(m, minus - Fraction(2, 1) / factorial(m))
            for m, _, minus, _ in rows if m >= 3]
     uniform = all(d == 0 for _, d in gap)
     print(f"  subtracted-tail coefficient equals 2/m! for every m >= 3: {uniform}")
     print()
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
 
 
 def main() -> int:

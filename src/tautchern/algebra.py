@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -36,80 +36,82 @@ BIRR = "irr_push"
 BSEPA = "sep_push_sum"
 BSEP = "sep_push"
 
-# Canonical order of generators inside a monomial (fixed once, golden
-# tests depend on it).
-_CANON_ORDER = {
-    KAPPA: 0,
-    KAPPATILDE: 1,
-    PSIPOW: 2,
-    PSI: 3,
-    CHE: 4,
-    DELTA: 5,
-    BIRR: 6,
-    BSEPA: 7,
-    BSEP: 8,
+# The generator set: kind -> (stored rank, print rank, argument types).
+# The stored rank orders the generators inside a monomial (fixed once,
+# golden tests depend on it).  The print rank puts lambda (= hodge_ch with
+# k = 1) before the psi and delta terms, matching the usual
+# 13*lambda + psi - 2*delta.  The tuple argument of sep_push is its label
+# set, a tuple of strings.
+_KINDS = {
+    KAPPA: (0, 0, (int,)),
+    KAPPATILDE: (1, 1, (int,)),
+    PSIPOW: (2, 3, (int,)),
+    PSI: (3, 4, (str,)),
+    CHE: (4, 2, (int,)),
+    DELTA: (5, 5, ()),
+    BIRR: (6, 6, (int, int)),
+    BSEPA: (7, 7, (int, int)),
+    BSEP: (8, 8, (int, tuple, int, int)),
 }
 
-# Order used when printing: lambda (= hodge_ch with k = 1) reads better
-# before the psi and delta terms, matching the usual 13*lambda + psi - 2*delta.
-_DISPLAY_ORDER = {
-    KAPPA: 0,
-    KAPPATILDE: 1,
-    CHE: 2,
-    PSIPOW: 3,
-    PSI: 4,
-    DELTA: 5,
-    BIRR: 6,
-    BSEPA: 7,
-    BSEP: 8,
-}
+
+def check_args(kind: str, args) -> None:
+    """Raise DomainError unless kind names a generator and args is a tuple
+    of its argument types (a bool is not an int)."""
+    if type(kind) is not str or kind not in _KINDS:
+        raise DomainError(f"unknown generator kind {kind!r}")
+    types = _KINDS[kind][2]
+    if (type(args) is not tuple or len(args) != len(types)
+            or any(type(a) is not t for a, t in zip(args, types))
+            or kind == BSEP and any(type(p) is not str for p in args[1])):
+        raise DomainError(f"{kind} takes arguments "
+                          f"({', '.join(t.__name__ for t in types)}), got {args!r}")
 
 
 @dataclass(frozen=True, slots=True)
 class Gen:
-    """One tautological generator symbol."""
+    """One tautological generator symbol, checked against the generator
+    table when it is made.  Its degree is stored and takes no part in
+    equality or hashing."""
 
     kind: str
     args: tuple = ()
+    degree: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def degree(self) -> int:
-        k = self.kind
-        if k in (KAPPA, KAPPATILDE, PSIPOW, CHE):
-            return self.args[0]
-        if k in (PSI, DELTA):
-            return 1
-        if k in (BIRR, BSEPA):
-            return self.args[0] + self.args[1] + 1
-        if k == BSEP:
-            return self.args[2] + self.args[3] + 1
-        raise DomainError(f"unknown generator kind {k!r}")
+    def __post_init__(self):
+        check_args(self.kind, self.args)
+        if self.kind in (BIRR, BSEPA, BSEP):
+            a, b = self.args[-2:]
+            if not a >= b >= 0:
+                raise DomainError(f"pushforward key must have a >= b >= 0, got ({a},{b})")
+            degree = a + b + 1
+        elif self.kind in (PSI, DELTA):
+            degree = 1
+        else:
+            (degree,) = self.args
+            if degree < 1 or self.kind == CHE and degree % 2 == 0:
+                raise DomainError(f"{self.kind} index must be >= 1 (odd for {CHE}), got {degree}")
+        object.__setattr__(self, "degree", degree)
 
     def sort_key(self):
-        return (_CANON_ORDER[self.kind], self.args)
+        return (_KINDS[self.kind][0], self.args)
 
     def display_key(self):
-        return (_DISPLAY_ORDER[self.kind], self.args)
+        return (_KINDS[self.kind][1], self.args)
 
 
 def kappa(m: int) -> Gen:
     """kappa_m, the pushforward of c_1(omega(D))^(m+1); degree m >= 1."""
-    if m < 1:
-        raise DomainError(f"kappa index must be >= 1, got {m}")
     return Gen(KAPPA, (m,))
 
 
 def kappa_tilde(m: int) -> Gen:
     """kappa~_m, the variant without the marked-point twist; degree m >= 1."""
-    if m < 1:
-        raise DomainError(f"kappa~ index must be >= 1, got {m}")
     return Gen(KAPPATILDE, (m,))
 
 
 def psi_power_sum(m: int) -> Gen:
     """The aggregate sum of psi_p^m over all markings; degree m >= 1."""
-    if m < 1:
-        raise DomainError(f"psi power sum index must be >= 1, got {m}")
     return Gen(PSIPOW, (m,))
 
 
@@ -124,8 +126,6 @@ def hodge_component(k: int) -> Gen:
     Even positive components vanish identically, so only odd indices are
     representable.
     """
-    if k < 1 or k % 2 == 0:
-        raise DomainError(f"hodge ch index must be odd and >= 1, got {k}")
     return Gen(CHE, (k,))
 
 
@@ -140,8 +140,6 @@ def irr_push(a: int, b: int) -> Gen:
     The key is sorted since only the symmetrization of the argument is
     well defined (the double cover swaps the two branches at the node).
     """
-    if a < 0 or b < 0:
-        raise DomainError(f"irr pushforward exponents must be >= 0, got ({a},{b})")
     return Gen(BIRR, (max(a, b), min(a, b)))
 
 
@@ -151,8 +149,6 @@ def sep_push_sum(a: int, b: int) -> Gen:
     Summing over ordered (h, A) absorbs the side swap, so the atom is
     symmetric in (a, b) by construction and the key is stored sorted.
     """
-    if a < 0 or b < 0:
-        raise DomainError(f"sep pushforward exponents must be >= 0, got ({a},{b})")
     return Gen(BSEPA, (max(a, b), min(a, b)))
 
 
@@ -179,8 +175,10 @@ class ModuliSpec:
     concrete: bool = False
 
     def __post_init__(self):
-        if self.genus < 0:
-            raise DomainError(f"genus must be >= 0, got {self.genus}")
+        if type(self.genus) is not int or self.genus < 0:
+            raise DomainError(f"genus must be an int >= 0, got {self.genus!r}")
+        if type(self.labels) not in (tuple, list):
+            raise DomainError(f"marking labels must be a tuple or list, got {self.labels!r}")
         labels = tuple(self.labels)
         for p in labels:
             if type(p) is not str or not _LABEL.fullmatch(p):
@@ -268,8 +266,6 @@ class ModuliSpec:
         Stored on the canonical side of the (h, A) ~ (g-h, A^c)
         identification, with the symmetric argument key sorted.
         """
-        if a < 0 or b < 0:
-            raise DomainError(f"sep pushforward exponents must be >= 0, got ({a},{b})")
         if not self.splitting_is_stable(h, labels):
             raise DomainError(
                 f"splitting (h={h}, A={tuple(labels)}) is not stable on "
@@ -316,16 +312,11 @@ def _validate_gen(gen: Gen, spec: ModuliSpec) -> None:
     elif gen.kind == BSEP:
         if not spec.concrete:
             raise DomainError("individual sep pushforward atoms require a concrete specification")
-        h, lab, a, b = gen.args
-        if a < b:
-            raise DomainError(f"sep atom key must be sorted, got ({a},{b})")
+        h, lab = gen.args[:2]
         if (h, lab) != spec.canonical_splitting(h, lab):
             raise DomainError(f"sep atom side (h={h}, A={lab}) is not canonical")
         if not spec.splitting_is_stable(h, lab):
             raise DomainError(f"sep atom splitting (h={h}, A={lab}) is not stable")
-    elif gen.kind in (BIRR, BSEPA):
-        if gen.args[0] < gen.args[1]:
-            raise DomainError(f"pushforward key must be sorted, got {gen.args}")
 
 
 def _monomial_vanishes(mono: Monomial, spec: ModuliSpec) -> bool:
@@ -340,8 +331,8 @@ def _monomial_vanishes(mono: Monomial, spec: ModuliSpec) -> bool:
 @dataclass(frozen=True, slots=True)
 class TautExpr:
     """Canonical graded expression: (monomial, coefficient) pairs in print
-    order.  Raw input is checked in build, the generator factories and
-    sep_push; arithmetic trusts its operands and only merges terms."""
+    order.  Raw input is checked when a Gen is made and, against the spec,
+    in build; arithmetic trusts its operands and only merges terms."""
 
     spec: ModuliSpec
     order: int
@@ -357,10 +348,12 @@ class TautExpr:
         identically (psi sums with no markings, irreducible atoms in
         genus 0) are all dropped.
         """
-        if order < 0:
-            raise DomainError(f"truncation order must be >= 0, got {order}")
+        if type(order) is not int or order < 0:
+            raise DomainError(f"truncation order must be an int >= 0, got {order!r}")
         checked = []
         for gens, coeff in items:
+            if type(coeff) is not int and not isinstance(coeff, Fraction):
+                raise DomainError(f"coefficient must be an int or a Fraction, got {coeff!r}")
             q = Fraction(coeff)
             if q == 0:
                 continue
@@ -425,6 +418,11 @@ class TautExpr:
         q = Fraction(q)
         return TautExpr._collect(self.spec, self.order,
                                  [(m, c * q) for m, c in self.terms])
+
+    def scale_degrees(self, q: Fraction | int) -> "TautExpr":
+        """The expression with its degree-d part multiplied by q^d."""
+        return TautExpr._collect(self.spec, self.order,
+                                 [(m, c * q ** monomial_degree(m)) for m, c in self.terms])
 
     def __mul__(self, other: "TautExpr") -> "TautExpr":
         self._check_compatible(other)

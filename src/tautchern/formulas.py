@@ -37,7 +37,6 @@ from .algebra import (
     kappa,
     kappa_tilde,
     marked_psi,
-    monomial_degree,
     psi_power_sum,
     sep_push_sum,
     sum_of_products,
@@ -128,9 +127,7 @@ def ch_cotangent(spec: ModuliSpec, order: int) -> TautExpr:
 
 def dualize(e: TautExpr) -> TautExpr:
     """Chern character of the dual bundle: degree d scaled by (-1)^d."""
-    return TautExpr.build(
-        e.spec, e.order,
-        [(m, c * (-1) ** monomial_degree(m)) for m, c in e.terms])
+    return e.scale_degrees(-1)
 
 
 def ch_tangent(spec: ModuliSpec, order: int) -> TautExpr:

@@ -36,6 +36,7 @@ from .algebra import (
     Gen,
     ModuliSpec,
     TautExpr,
+    check_args,
     default_labels,
     hodge_component,
     irr_push,
@@ -196,12 +197,8 @@ def _render_terms(e: TautExpr, s: Spelling) -> str:
 
 
 def _gen_json(g: Gen) -> dict:
-    if g.kind == BSEP:
-        h, lab, a, b = g.args
-        args = [h, list(lab), a, b]
-    else:
-        args = list(g.args)
-    return {"gen": g.kind, "args": args}
+    # The label tuple of a sep_push atom is a JSON array, as in _gen_from_json.
+    return {"gen": g.kind, "args": [list(a) if type(a) is tuple else a for a in g.args]}
 
 
 def render_json_dict(e: TautExpr) -> dict:
@@ -231,18 +228,17 @@ def render(e: TautExpr, fmt: str = "text") -> str:
     return _render_terms(e, _SPELLINGS[fmt])
 
 
-# JSON generator name -> (factory, JSON types of its arguments); sep_push
-# is built on the spec, from (h, label list, a, b).
+# JSON generator name -> factory, which sorts a pushforward key; sep_push
+# is built on the spec, which also puts it on its canonical side.
 _FACTORIES = {
-    KAPPA: (kappa, (int,)),
-    KAPPATILDE: (kappa_tilde, (int,)),
-    PSIPOW: (psi_power_sum, (int,)),
-    PSI: (marked_psi, (str,)),
-    CHE: (hodge_component, (int,)),
-    DELTA: (delta_class, ()),
-    BIRR: (irr_push, (int, int)),
-    BSEPA: (sep_push_sum, (int, int)),
-    BSEP: (None, (int, list, int, int)),
+    KAPPA: kappa,
+    KAPPATILDE: kappa_tilde,
+    PSIPOW: psi_power_sum,
+    PSI: marked_psi,
+    CHE: hodge_component,
+    DELTA: delta_class,
+    BIRR: irr_push,
+    BSEPA: sep_push_sum,
 }
 
 _JSON_TYPES = {int: "an integer", str: "a string", list: "an array", dict: "an object"}
@@ -270,17 +266,11 @@ def _coeff_from_json(value) -> Fraction:
 def _gen_from_json(doc, spec: ModuliSpec) -> Gen:
     doc = _expect(doc, dict, "generator")
     kind = _expect(doc.get("gen"), str, "generator name")
-    args = _expect(doc.get("args", []), list, f"{kind} arguments")
-    if kind not in _FACTORIES:
-        raise DomainError(f"unknown generator name {kind!r} in JSON input")
-    factory, types = _FACTORIES[kind]
-    if len(args) != len(types) or any(type(a) is not t for a, t in zip(args, types)):
-        raise DomainError(f"{kind} takes arguments "
-                          f"({', '.join(_JSON_TYPES[t] for t in types)}), got {args!r}")
-    if kind == BSEP:
-        h, lab, a, b = args
-        return spec.sep_push(h, tuple(_expect(p, str, "label") for p in lab), a, b)
-    return factory(*args)
+    # A JSON array stands for the label tuple of a sep_push atom.
+    args = tuple(tuple(a) if type(a) is list else a
+                 for a in _expect(doc.get("args", []), list, f"{kind} arguments"))
+    check_args(kind, args)
+    return spec.sep_push(*args) if kind == BSEP else _FACTORIES[kind](*args)
 
 
 def expr_from_json_dict(doc: dict) -> TautExpr:

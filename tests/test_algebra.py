@@ -43,6 +43,8 @@ def test_generator_degrees():
     assert delta_class().degree == 1
     assert irr_push(2, 1).degree == 4
     assert sep_push_sum(0, 0).degree == 1
+    spec = ModuliSpec(3, default_labels(2), concrete=True)
+    assert spec.sep_push(1, ("p2",), 1, 2).degree == 4
 
 
 def test_generator_factories_validate():
@@ -88,6 +90,10 @@ def test_spec_validates_genus_and_labels():
     for bad in ("", "a,b", "b}", "{a", "a b", "a\tb", 1, None):
         with pytest.raises(DomainError, match="marking label"):
             ModuliSpec(2, ("p1", bad))
+    # A string is not a label list, and the genus must be an int.
+    for genus, labels in ((1, "p1"), (1.5, ("p1",)), ("1", ("p1",)), (True, ("p1",))):
+        with pytest.raises(DomainError):
+            ModuliSpec(genus, labels)
 
 
 @pytest.mark.parametrize("g,n,dim", [
@@ -127,20 +133,31 @@ SPEC32C = ModuliSpec(3, default_labels(2), concrete=True)
 SPEC21C = ModuliSpec(2, default_labels(1), concrete=True)
 
 
-@pytest.mark.parametrize("spec,gen", [
-    (SPEC32C, Gen("sep_push", (2, ("p1",), 0, 0))),
-    (SPEC21C, Gen("sep_push", (0, (), 0, 0))),
-    (SPEC32C, Gen("sep_push", (1, ("zz",), 0, 0))),
-    (SPEC32C, Gen("sep_push", (1, ("p1", "p1"), 0, 0))),
-    (SPEC32C, Gen("sep_push", (1, ["p2"], 0, 0))),
-    (SPEC32C, Gen("sep_push", (1, ("p2",), 0, 1))),
-    (SPEC32C, Gen("irr_push", (0, 2))),
+@pytest.mark.parametrize("spec,kind,args", [
+    (SPEC32C, "sep_push", (2, ("p1",), 0, 0)),
+    (SPEC21C, "sep_push", (0, (), 0, 0)),
+    (SPEC32C, "sep_push", (1, ("zz",), 0, 0)),
+    (SPEC32C, "sep_push", (1, ("p1", "p1"), 0, 0)),
+    (SPEC32C, "sep_push", (1, ["p2"], 0, 0)),
+    (SPEC32C, "sep_push", (1, ("p2",), 0, 1)),
+    (SPEC32C, "irr_push", (0, 2)),
+    (SPEC32C, "kappa", (0,)),
+    (SPEC32C, "kappa", (-3,)),
+    (SPEC32C, "hodge_ch", (2,)),
+    (SPEC32C, "bogus", (1,)),
+    (SPEC32C, "kappa", ("x",)),
+    (SPEC32C, "kappa", (True,)),
+    (SPEC32C, "delta", (1,)),
+    (SPEC32C, "sep_push", (1, (2,), 0, 0)),
 ], ids=["non-canonical-side", "unstable-side", "unknown-label",
-        "repeated-label", "list-labels", "unsorted-sep-key", "unsorted-irr-key"])
-def test_hand_built_generators_raise_through_build(spec, gen):
-    """Generators made without the factories are checked where they enter."""
+        "repeated-label", "list-labels", "unsorted-sep-key", "unsorted-irr-key",
+        "kappa-zero", "kappa-negative", "even-hodge-ch", "unknown-kind",
+        "str-index", "bool-index", "delta-with-args", "non-str-sep-label"])
+def test_hand_built_generators_raise_through_build(spec, kind, args):
+    """Generators made without the factories are checked where they enter:
+    on their own when they are made, against the spec in build."""
     with pytest.raises(DomainError):
-        TautExpr.build(spec, 2, [((gen,), 1)])
+        TautExpr.build(spec, 2, [((Gen(kind, args),), 1)])
 
 
 def test_canonical_splitting_of_an_unstable_side():
@@ -225,6 +242,13 @@ def test_build_merges_and_drops():
 def test_build_rejects_negative_order():
     with pytest.raises(DomainError):
         TautExpr.build(SPEC21, -1, [])
+    # The order must be an int, and a coefficient an int or a Fraction.
+    for order in ("3", 2.0, True):
+        with pytest.raises(DomainError):
+            TautExpr.build(SPEC21, order, [])
+    for coeff in (0.1, "1", None):
+        with pytest.raises(DomainError):
+            TautExpr.build(SPEC21, 2, [((kappa(1),), coeff)])
 
 
 def test_build_drops_vanishing_monomials():
