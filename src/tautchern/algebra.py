@@ -71,12 +71,13 @@ def check_args(kind: str, args) -> None:
 @dataclass(frozen=True, slots=True)
 class Gen:
     """One tautological generator symbol, checked against the generator
-    table when it is made.  Its degree is stored and takes no part in
-    equality or hashing."""
+    table when it is made.  Its degree and its hash are stored once; they
+    take no part in equality, and the hash is that of (kind, args)."""
 
     kind: str
     args: tuple = ()
     degree: int = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         check_args(self.kind, self.args)
@@ -92,6 +93,10 @@ class Gen:
             if degree < 1 or self.kind == CHE and degree % 2 == 0:
                 raise DomainError(f"{self.kind} index must be >= 1 (odd for {CHE}), got {degree}")
         object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "_hash", hash((self.kind, self.args)))
+
+    def __hash__(self):
+        return self._hash
 
     def sort_key(self):
         return (_KINDS[self.kind][0], self.args)
@@ -140,7 +145,7 @@ def irr_push(a: int, b: int) -> Gen:
     The key is sorted since only the symmetrization of the argument is
     well defined (the double cover swaps the two branches at the node).
     """
-    return Gen(BIRR, (max(a, b), min(a, b)))
+    return _sorted_key(BIRR, a, b)
 
 
 def sep_push_sum(a: int, b: int) -> Gen:
@@ -149,7 +154,14 @@ def sep_push_sum(a: int, b: int) -> Gen:
     Summing over ordered (h, A) absorbs the side swap, so the atom is
     symmetric in (a, b) by construction and the key is stored sorted.
     """
-    return Gen(BSEPA, (max(a, b), min(a, b)))
+    return _sorted_key(BSEPA, a, b)
+
+
+def _sorted_key(kind: str, a: int, b: int) -> Gen:
+    """The pushforward atom of kind with key (a, b) sorted; the types are
+    checked first, so a wrong one raises DomainError, not TypeError."""
+    check_args(kind, (a, b))
+    return Gen(kind, (max(a, b), min(a, b)))
 
 
 # Labels print inside "{...}" lists separated by ",", so those characters
@@ -177,6 +189,8 @@ class ModuliSpec:
     def __post_init__(self):
         if type(self.genus) is not int or self.genus < 0:
             raise DomainError(f"genus must be an int >= 0, got {self.genus!r}")
+        if type(self.concrete) is not bool:
+            raise DomainError(f"concrete must be a bool, got {self.concrete!r}")
         if type(self.labels) not in (tuple, list):
             raise DomainError(f"marking labels must be a tuple or list, got {self.labels!r}")
         labels = tuple(self.labels)
@@ -266,6 +280,8 @@ class ModuliSpec:
         Stored on the canonical side of the (h, A) ~ (g-h, A^c)
         identification, with the symmetric argument key sorted.
         """
+        if not all(type(x) is int for x in (h, a, b)):
+            raise DomainError(f"sep_push takes int h, a and b, got {(h, a, b)!r}")
         if not self.splitting_is_stable(h, labels):
             raise DomainError(
                 f"splitting (h={h}, A={tuple(labels)}) is not stable on "
@@ -328,6 +344,13 @@ def _monomial_vanishes(mono: Monomial, spec: ModuliSpec) -> bool:
     return False
 
 
+def _exact(q) -> Fraction:
+    """q as a Fraction; a coefficient or factor must be an int or a Fraction."""
+    if type(q) is not int and not isinstance(q, Fraction):
+        raise DomainError(f"coefficient must be an int or a Fraction, got {q!r}")
+    return Fraction(q)
+
+
 @dataclass(frozen=True, slots=True)
 class TautExpr:
     """Canonical graded expression: (monomial, coefficient) pairs in print
@@ -352,9 +375,7 @@ class TautExpr:
             raise DomainError(f"truncation order must be an int >= 0, got {order!r}")
         checked = []
         for gens, coeff in items:
-            if type(coeff) is not int and not isinstance(coeff, Fraction):
-                raise DomainError(f"coefficient must be an int or a Fraction, got {coeff!r}")
-            q = Fraction(coeff)
+            q = _exact(coeff)
             if q == 0:
                 continue
             mono = monomial(*gens)
@@ -415,12 +436,13 @@ class TautExpr:
         return self.scale(-1)
 
     def scale(self, q: Fraction | int) -> "TautExpr":
-        q = Fraction(q)
+        q = _exact(q)
         return TautExpr._collect(self.spec, self.order,
                                  [(m, c * q) for m, c in self.terms])
 
     def scale_degrees(self, q: Fraction | int) -> "TautExpr":
         """The expression with its degree-d part multiplied by q^d."""
+        q = _exact(q)
         return TautExpr._collect(self.spec, self.order,
                                  [(m, c * q ** monomial_degree(m)) for m, c in self.terms])
 

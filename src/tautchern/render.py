@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable
 
 from .algebra import (
@@ -196,33 +197,71 @@ def _render_terms(e: TautExpr, s: Spelling) -> str:
     return "".join(pieces)
 
 
-def _gen_json(g: Gen) -> dict:
-    # The label tuple of a sep_push atom is a JSON array, as in _gen_from_json.
-    return {"gen": g.kind, "args": [list(a) if type(a) is tuple else a for a in g.args]}
+class _Raw(str):
+    """JSON text that _json_value writes as it is."""
 
 
-def render_json_dict(e: TautExpr) -> dict:
+def _json_value(v, level: int) -> str:
+    """json.dumps(v, indent=2) for an int, a str or _Raw text, or a list,
+    tuple or dict of those, as written level steps deep in a document."""
+    if type(v) is str:
+        return _json_str(v)
+    if type(v) is int:
+        return str(v)
+    if type(v) is _Raw:
+        return v
+    if not v:
+        return "{}" if type(v) is dict else "[]"
+    inner = "\n" + "  " * (level + 1)
+    if type(v) is dict:
+        items = (f"{_json_str(k)}: {_json_value(x, level + 1)}" for k, x in v.items())
+        open_, close = "{", "}"
+    else:
+        items = (_json_value(x, level + 1) for x in v)
+        open_, close = "[", "]"
+    return open_ + inner + ("," + inner).join(items) + "\n" + "  " * level + close
+
+
+def _json_text(e: TautExpr) -> str:
+    """The expression's JSON document, byte for byte what json.dumps(doc,
+    indent=2) gives for it.  This is the only definition of the schema.
+
+    Terms sit at level 2 of the document and their generators at level 4,
+    so each distinct generator is encoded once and its text reused.
+    """
+    encoded: dict[Gen, tuple] = {}
+
+    def entry(g: Gen) -> tuple:
+        if g not in encoded:
+            encoded[g] = (g.display_key(),
+                          _json_value({"gen": g.kind, "args": g.args}, 4))
+        return encoded[g]
+
+    terms = []
+    for mono, c in e.terms:
+        gens = ",\n        ".join(text for _, text in sorted(map(entry, mono)))
+        monomial = f"[\n        {gens}\n      ]" if mono else "[]"
+        terms.append(f'{{\n      "coeff": {_json_str(format_rational(c))},'
+                     f'\n      "monomial": {monomial}\n    }}')
     spec = e.spec
-    return {
+    return _json_value({
         "g": spec.genus,
         "n": spec.n,
         "degree": e.order,
         "mode": "concrete" if spec.concrete else "generic",
-        "labels": list(spec.labels),
-        "terms": [
-            {
-                "coeff": format_rational(c),
-                "monomial": [_gen_json(g)
-                             for g in sorted(m, key=Gen.display_key)],
-            }
-            for m, c in e.terms
-        ],
-    }
+        "labels": spec.labels,
+        "terms": [_Raw(t) for t in terms],
+    }, 0)
+
+
+def render_json_dict(e: TautExpr) -> dict:
+    """The expression's JSON document as a dict: the writer's text, parsed."""
+    return json.loads(_json_text(e))
 
 
 def render(e: TautExpr, fmt: str = "text") -> str:
     if fmt == "json":
-        return json.dumps(render_json_dict(e), indent=2)
+        return _json_text(e)
     if fmt not in _SPELLINGS:
         raise DomainError(f"unknown output format {fmt!r}; expected one of {FORMATS}")
     return _render_terms(e, _SPELLINGS[fmt])

@@ -59,6 +59,17 @@ def test_generator_factories_validate():
         irr_push(-1, 0)
     with pytest.raises(DomainError):
         sep_push_sum(0, -2)
+    # Argument types are checked before the key is sorted.
+    for bad in (lambda: irr_push("x", 0), lambda: sep_push_sum(0, "y"),
+                lambda: SPEC32C.sep_push("1", ("p1",), 0, 0)):
+        with pytest.raises(DomainError):
+            bad()
+
+
+def test_generator_hash_is_stored_and_unchanged():
+    g = SPEC32C.sep_push(1, ("p1",), 1, 0)
+    assert hash(g) == hash((g.kind, g.args))
+    assert hash(kappa(2)) == hash(Gen("kappa", (2,))) == hash(("kappa", (2,)))
 
 
 def test_pushforward_keys_are_sorted():
@@ -94,6 +105,8 @@ def test_spec_validates_genus_and_labels():
     for genus, labels in ((1, "p1"), (1.5, ("p1",)), ("1", ("p1",)), (True, ("p1",))):
         with pytest.raises(DomainError):
             ModuliSpec(genus, labels)
+    with pytest.raises(DomainError, match="concrete"):
+        ModuliSpec(1, ("p1",), concrete="no")
 
 
 @pytest.mark.parametrize("g,n,dim", [
@@ -249,6 +262,14 @@ def test_build_rejects_negative_order():
     for coeff in (0.1, "1", None):
         with pytest.raises(DomainError):
             TautExpr.build(SPEC21, 2, [((kappa(1),), coeff)])
+
+
+def test_scale_rejects_inexact_factors():
+    e = TautExpr.of(SPEC21, 2, kappa(1))
+    for scale in (e.scale, e.scale_degrees):
+        with pytest.raises(DomainError):
+            scale(0.1)
+    assert e.scale_degrees(Fraction(1, 2)) == e.scale(Fraction(1, 2))
 
 
 def test_build_drops_vanishing_monomials():

@@ -11,10 +11,12 @@ from hypothesis import given, strategies as st
 
 from tautchern import (
     DomainError,
+    Gen,
     ModuliSpec,
     TautExpr,
     canonical_class,
     ch_cotangent,
+    chern_classes,
     default_labels,
     delta_as_atoms,
     delta_class,
@@ -29,6 +31,8 @@ from tautchern import (
     render_json_dict,
     sep_push_sum,
 )
+from tautchern.cli import main
+from tautchern.rationals import format_rational
 
 SPEC21 = ModuliSpec(2, default_labels(1))
 
@@ -199,6 +203,92 @@ def test_json_sep_atom_on_many_markings():
     e = TautExpr.of(spec, 1, spec.sep_push(0, ("p2", "p1"), 0, 0))
     assert expr_from_json(render(e, "json")) == e
     assert spec.splitting_is_stable(1, ("p3",))
+
+
+def reference_json_dict(e: TautExpr) -> dict:
+    """The document as a dict tree, built the way the JSON writer's output
+    was defined before the writer existed: json.dumps(doc, indent=2)."""
+    spec = e.spec
+    return {
+        "g": spec.genus,
+        "n": spec.n,
+        "degree": e.order,
+        "mode": "concrete" if spec.concrete else "generic",
+        "labels": list(spec.labels),
+        "terms": [
+            {
+                "coeff": format_rational(c),
+                "monomial": [{"gen": g.kind,
+                              "args": [list(a) if type(a) is tuple else a for a in g.args]}
+                             for g in sorted(m, key=Gen.display_key)],
+            }
+            for m, c in e.terms
+        ],
+    }
+
+
+def assert_writer_matches_reference(e: TautExpr) -> None:
+    assert render(e, "json") == json.dumps(reference_json_dict(e), indent=2)
+    assert render_json_dict(e) == reference_json_dict(e)
+
+
+ODD_LABELS = ModuliSpec(1, ("\u00e9", '"q"', "\\x"), concrete=True)
+
+
+@pytest.mark.parametrize("e", [
+    pytest.param(TautExpr.zero(SPEC21, 3), id="zero"),
+    pytest.param(TautExpr.of(SPEC21, 2, delta_class(), -2), id="delta-no-args"),
+    pytest.param(canonical_class(ModuliSpec(2, ())), id="empty-labels"),
+    pytest.param(TautExpr.one(ModuliSpec(2, ()), 0).scale(3), id="empty-monomial"),
+    pytest.param(delta_as_atoms(ModuliSpec(2, (), concrete=True), 1), id="sep-empty-side"),
+    pytest.param(ch_cotangent(CONCRETE32, 3), id="concrete-sep-atoms"),
+    pytest.param(ch_cotangent(ODD_LABELS, 2), id="escaped-labels"),
+])
+def test_json_writer_matches_reference(e):
+    assert_writer_matches_reference(e)
+
+
+def _generator_pool(spec: ModuliSpec) -> list[Gen]:
+    pool = [kappa(1), kappa(2), kappa_tilde(1), psi_power_sum(2), hodge_component(1),
+            hodge_component(3), delta_class(), irr_push(1, 0), irr_push(2, 2),
+            sep_push_sum(1, 1)]
+    if spec.concrete:
+        pool += [marked_psi(p) for p in spec.labels]
+        pool += [spec.sep_push(h, lab, 1, 0) for h, lab, _ in spec.splitting_classes()]
+    return pool
+
+
+WRITER_SPECS = [SPEC21, ModuliSpec(2, ()), CONCRETE32, ODD_LABELS]
+
+
+@st.composite
+def expressions(draw) -> TautExpr:
+    spec = draw(st.sampled_from(WRITER_SPECS))
+    monomials = st.lists(st.sampled_from(_generator_pool(spec)), max_size=4)
+    items = draw(st.lists(st.tuples(monomials, st.fractions(max_denominator=12)),
+                          max_size=6))
+    return TautExpr.build(spec, 8, items)
+
+
+@given(expressions())
+def test_json_writer_matches_reference_on_generated_expressions(e):
+    assert_writer_matches_reference(e)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--g", "2", "--n", "1", "--jmax", "0"),
+    ("--g", "1", "--n", "3", "--jmax", "3", "--mode", "concrete"),
+])
+def test_chern_json_matches_reference(capsys, argv):
+    assert main(["chern", *argv, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    spec = ModuliSpec(int(argv[1]), default_labels(int(argv[3])),
+                      concrete="concrete" in argv)
+    jmax = int(argv[5])
+    rank, classes = chern_classes(spec, jmax)
+    doc = {"rank": rank, "jmax": jmax,
+           "classes": [reference_json_dict(c) for c in classes]}
+    assert out == json.dumps(doc, indent=2) + "\n"
 
 
 DELETE = object()
