@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .rationals import DomainError
+from .rationals import DomainError, _exact
 
 # Generator kind tags.  These double as the "gen" names in JSON output.
 KAPPA = "kappa"
@@ -216,9 +217,15 @@ class ModuliSpec:
     def dimension(self) -> int:
         return 3 * self.genus - 3 + self.n
 
-    def _positions(self, labels: Iterable[str]) -> tuple[int, ...]:
-        """Sorted marking positions of a label subset given in any form."""
-        lab = tuple(labels)
+    def _positions(self, h: int, labels: Iterable[str]) -> tuple[int, ...]:
+        """Sorted marking positions of the label subset of a splitting
+        (h, A), with A given as any iterable; h must be an int."""
+        if type(h) is not int:
+            raise DomainError(f"splitting genus must be an int, got {h!r}")
+        try:
+            lab = tuple(labels)
+        except TypeError:
+            raise DomainError(f"splitting labels must be iterable, got {labels!r}") from None
         for p in lab:
             if p not in self.labels:
                 raise DomainError(f"unknown marking label {p!r}")
@@ -228,9 +235,9 @@ class ModuliSpec:
 
     def splitting_is_stable(self, h: int, labels: Iterable[str]) -> bool:
         """Both sides of the separating splitting (h, A) must be stable."""
+        size = len(self._positions(h, labels))
         if h < 0 or h > self.genus:
             return False
-        size = len(self._positions(labels))
         return (2 * h - 1 + size > 0) and (2 * (self.genus - h) - 1 + (self.n - size) > 0)
 
     def ordered_splittings(self) -> list[tuple[int, tuple[str, ...]]]:
@@ -238,13 +245,13 @@ class ModuliSpec:
         return list(_splitting_table(self))
 
     def mirror_splitting(self, h: int, labels: Iterable[str]) -> tuple[int, tuple[str, ...]]:
-        idx = self._positions(labels)
+        idx = self._positions(h, labels)
         return (self.genus - h, tuple(p for i, p in enumerate(self.labels) if i not in idx))
 
     def canonical_splitting(self, h: int, labels: Iterable[str]) -> tuple[int, tuple[str, ...]]:
         """The smaller of (h, A) and its mirror, compared by (h, |A|,
         marking positions of A)."""
-        idx = self._positions(labels)
+        idx = self._positions(h, labels)
         comp = tuple(i for i in range(self.n) if i not in idx)
         hh, _, pos = min((h, len(idx), idx), (self.genus - h, len(comp), comp))
         return hh, tuple(self.labels[i] for i in pos)
@@ -316,7 +323,10 @@ def monomial(*gens: Gen) -> Monomial:
 
 
 def monomial_degree(mono: Monomial) -> int:
-    return sum(g.degree for g in mono)
+    # Summing a list, not a generator: on a monomial's short tuple the
+    # generator costs about half again as much, and this runs once per
+    # right term in every product and twice per term in every merge.
+    return sum([g.degree for g in mono])
 
 
 def _validate_gen(gen: Gen, spec: ModuliSpec) -> None:
@@ -344,11 +354,10 @@ def _monomial_vanishes(mono: Monomial, spec: ModuliSpec) -> bool:
     return False
 
 
-def _exact(q) -> Fraction:
-    """q as a Fraction; a coefficient or factor must be an int or a Fraction."""
-    if type(q) is not int and not isinstance(q, Fraction):
-        raise DomainError(f"coefficient must be an int or a Fraction, got {q!r}")
-    return Fraction(q)
+def _cap(spec: ModuliSpec, order: int) -> int:
+    """The highest degree an expression keeps: the truncation order, and
+    in concrete mode also the dimension."""
+    return min(order, spec.dimension) if spec.concrete else order
 
 
 @dataclass(frozen=True, slots=True)
@@ -392,7 +401,7 @@ class TautExpr:
         spec: sum repeated monomials, drop zero sums and terms above the
         cap, and sort into print order: by degree, then by the display keys
         of the monomial's generators."""
-        cap = min(order, spec.dimension) if spec.concrete else order
+        cap = _cap(spec, order)
         acc: dict[Monomial, Fraction] = {}
         for mono, q in pairs:
             acc[mono] = acc.get(mono, 0) + q
@@ -447,10 +456,17 @@ class TautExpr:
                                  [(m, c * q ** monomial_degree(m)) for m, c in self.terms])
 
     def __mul__(self, other: "TautExpr") -> "TautExpr":
+        """The truncated product.  Terms are stored by degree, so each left
+        term of degree d meets only the right terms up to degree cap - d,
+        and no pair above the cap is built."""
         self._check_compatible(other)
+        cap = _cap(self.spec, self.order)
+        right = other.terms
+        degrees = [monomial_degree(m) for m, _ in right]
         return TautExpr._collect(self.spec, self.order, (
             (monomial(*m1, *m2), c1 * c2)
-            for m1, c1 in self.terms for m2, c2 in other.terms))
+            for m1, c1 in self.terms
+            for m2, c2 in right[:bisect_right(degrees, cap - monomial_degree(m1))]))
 
     def __pow__(self, k: int) -> "TautExpr":
         if k < 0:

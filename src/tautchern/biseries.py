@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Mapping
 
-from .rationals import DomainError, bernoulli, kappa_correction
+from .rationals import DomainError, _exact, bernoulli, kappa_correction
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,18 +43,17 @@ class BiSeries:
     @staticmethod
     def build(order: int, data: Mapping[tuple[int, int], Fraction | int],
               cross_zero: bool = False) -> "BiSeries":
-        if order < 0:
-            raise DomainError(f"series order must be >= 0, got {order}")
+        """Canonical series from exact (int or Fraction) coefficients;
+        terms above the order, and mixed terms under cross_zero, are
+        dropped."""
+        if type(order) is not int or order < 0:
+            raise DomainError(f"series order must be an int >= 0, got {order!r}")
         acc: dict[tuple[int, int], Fraction] = {}
         for (i, j), c in data.items():
-            if i < 0 or j < 0:
-                raise DomainError(f"negative exponent pair ({i},{j})")
-            if i + j > order:
-                continue
-            if cross_zero and i >= 1 and j >= 1:
-                continue
-            q = Fraction(c)
-            if q == 0:
+            if type(i) is not int or type(j) is not int or i < 0 or j < 0:
+                raise DomainError(f"exponent pair must be two ints >= 0, got ({i!r},{j!r})")
+            q = _exact(c)
+            if i + j > order or cross_zero and i >= 1 and j >= 1 or q == 0:
                 continue
             acc[(i, j)] = acc.get((i, j), Fraction(0)) + q
         coeffs = tuple(sorted((k, v) for k, v in acc.items() if v != 0))
@@ -99,47 +98,74 @@ class BiSeries:
         return self + other.scale(-1)
 
     def scale(self, q: Fraction | int) -> "BiSeries":
-        q = Fraction(q)
+        q = _exact(q)
         return BiSeries.build(self.order,
                               {key: c * q for key, c in self.coeffs},
                               self.cross_zero)
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
+        """Exact truncated product on integer numerators: a pair whose
+        degree is above the order is never visited, and each output
+        coefficient is divided by the common denominator once."""
         self._check_compatible(other)
-        data: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.coeffs:
-            for (i2, j2), c2 in other.coeffs:
-                i, j = i1 + i2, j1 + j2
-                if i + j > self.order:
-                    continue
-                if self.cross_zero and i >= 1 and j >= 1:
-                    continue
-                key = (i, j)
-                data[key] = data.get(key, Fraction(0)) + c1 * c2
-        return BiSeries.build(self.order, data, self.cross_zero)
+        order, cross_zero = self.order, self.cross_zero
+        d1, left = _numerators(self.coeffs)
+        d2, right = _numerators(other.coeffs)
+        by_degree: list[list[tuple[int, int, int]]] = [[] for _ in range(order + 1)]
+        for (i2, j2), n2 in right:
+            by_degree[i2 + j2].append((i2, j2, n2))
+        acc: dict[tuple[int, int], int] = {}
+        for (i1, j1), n1 in left:
+            for group in by_degree[:order - i1 - j1 + 1]:
+                for i2, j2, n2 in group:
+                    i, j = i1 + i2, j1 + j2
+                    if cross_zero and i >= 1 and j >= 1:
+                        continue
+                    acc[(i, j)] = acc.get((i, j), 0) + n1 * n2
+        den = d1 * d2
+        return BiSeries(order, cross_zero, tuple(sorted(
+            (key, Fraction(n, den)) for key, n in acc.items() if n)))
 
     def inverse(self) -> "BiSeries":
-        """Multiplicative inverse; requires a unit (nonzero) constant term."""
-        c0 = self.coeff(0, 0)
-        if c0 == 0:
+        """Multiplicative inverse; requires a unit (nonzero) constant term.
+
+        With a = A/D on integer numerators and c0 = A00/D, the coefficients
+        found so far are kept as integer numerators N over their common
+        denominator E, so b_ij = -sum A_kl * N_(i-k,j-l) / (E * A00) over
+        (k,l) != (0,0) is one division.  After each degree E becomes the
+        lcm with the new denominators and the stored numerators are scaled
+        up to it.
+        """
+        den, nums = _numerators(self.coeffs)
+        a = dict(nums)
+        a00 = a.pop((0, 0), 0)
+        if a00 == 0:
             raise DomainError("cannot invert a series with zero constant term")
-        a = self.as_dict()
-        b: dict[tuple[int, int], Fraction] = {(0, 0): 1 / c0}
+        first = Fraction(den, a00)
+        e = first.denominator
+        numer = {(0, 0): first.numerator}
+        out = [((0, 0), first)]
         for t in range(1, self.order + 1):
+            new = []
             for i in range(t + 1):
                 j = t - i
                 if self.cross_zero and i >= 1 and j >= 1:
                     continue
-                s = Fraction(0)
-                for (k, l), ak in a.items():
-                    if (k, l) == (0, 0) or k > i or l > j:
-                        continue
-                    bk = b.get((i - k, j - l))
-                    if bk is not None:
-                        s += ak * bk
-                if s != 0:
-                    b[(i, j)] = -s / c0
-        return BiSeries.build(self.order, b, self.cross_zero)
+                s = 0
+                for (k, l), n in a.items():
+                    if k <= i and l <= j:
+                        s += n * numer.get((i - k, j - l), 0)
+                if s:
+                    new.append(((i, j), Fraction(-s, e * a00)))
+            grown = lcm(e, *(c.denominator for _, c in new))
+            if grown != e:
+                for key in numer:
+                    numer[key] *= grown // e
+                e = grown
+            for key, c in new:
+                numer[key] = c.numerator * (e // c.denominator)
+            out.extend(new)
+        return BiSeries(self.order, self.cross_zero, tuple(sorted(out)))
 
     def exp(self) -> "BiSeries":
         """Exponential of a series with zero constant term."""
@@ -151,6 +177,13 @@ class BiSeries:
             power = (power * self).scale(Fraction(1, k))
             total = total + power
         return total
+
+
+def _numerators(coeffs) -> tuple[int, list[tuple[tuple[int, int], int]]]:
+    """The common denominator D (the lcm of the denominators) and every
+    coefficient's integer numerator over D."""
+    den = lcm(*(c.denominator for _, c in coeffs))
+    return den, [(key, c.numerator * (den // c.denominator)) for key, c in coeffs]
 
 
 def _univariate(order: int, index: int, fn,

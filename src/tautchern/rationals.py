@@ -14,6 +14,14 @@ class DomainError(ValueError):
     """Raised when a quantity is requested outside its mathematical domain."""
 
 
+def _exact(q) -> Fraction:
+    """q as a Fraction; a coefficient or factor must be an int or a Fraction
+    (a bool, a float or a string is refused)."""
+    if type(q) is not int and not isinstance(q, Fraction):
+        raise DomainError(f"coefficient must be an int or a Fraction, got {q!r}")
+    return Fraction(q)
+
+
 # Append-only cache of Bernoulli numbers B_0, B_1, ... (second
 # convention: B_1 = -1/2).
 _bern: list[Fraction] = [Fraction(1)]

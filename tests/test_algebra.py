@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import FIVE_SPECS, boundary_class_count
+from tautchern import algebra
 from tautchern import (
     DomainError,
     Gen,
@@ -178,6 +179,24 @@ def test_canonical_splitting_of_an_unstable_side():
     assert not SPEC32C.splitting_is_stable(0, ("p1",))
 
 
+SPEC12C = ModuliSpec(1, ("p1", "p2"), concrete=True)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SPEC12C.splitting_is_stable("1", ("p1",)),
+    lambda: SPEC12C.canonical_splitting("1", ("p1",)),
+    lambda: SPEC12C.mirror_splitting("1", ("p1",)),
+    lambda: SPEC12C.sep_push(1, 5, 0, 0),
+    lambda: SPEC12C.splitting_is_stable(0, 5),
+], ids=["stable-str-h", "canonical-str-h", "mirror-str-h",
+        "sep-push-int-labels", "stable-int-labels"])
+def test_splitting_methods_reject_wrong_argument_types(call):
+    """A str genus or a label set that is not iterable is a domain error,
+    not a TypeError from the comparison or the iteration."""
+    with pytest.raises(DomainError):
+        call()
+
+
 @pytest.mark.parametrize("g,n", FIVE_SPECS)
 def test_mirror_is_an_involution(g, n):
     spec = ModuliSpec(g, default_labels(n))
@@ -262,6 +281,29 @@ def test_build_rejects_negative_order():
     for coeff in (0.1, "1", None):
         with pytest.raises(DomainError):
             TautExpr.build(SPEC21, 2, [((kappa(1),), coeff)])
+
+
+def reference_mul(a: TautExpr, b: TautExpr) -> TautExpr:
+    """The product as every pair of terms, sent through build."""
+    return TautExpr.build(a.spec, a.order, [
+        (m1 + m2, c1 * c2) for m1, c1 in a.terms for m2, c2 in b.terms])
+
+
+def test_product_builds_no_pair_above_the_cap(monkeypatch):
+    """On (0,5) at order 4 the dimension cap is 2: a degree-2 left term
+    meets only the degree-0 right terms, and no monomial above the cap
+    is made."""
+    spec = ModuliSpec(0, default_labels(5), concrete=True)
+    a = TautExpr.build(spec, 4, [((), 1), ((kappa(1),), 2), ((kappa(1), delta_class()), 3)])
+    b = TautExpr.build(spec, 4, [((), 5), ((marked_psi("p1"),), 7), ((kappa(2),), 1)])
+    made = []
+    real = algebra.monomial
+    monkeypatch.setattr(algebra, "monomial", lambda *gens: made.append(gens) or real(*gens))
+    product = a * b
+    assert max(map(monomial_degree, made)) == 2
+    assert len(made) == 3 + 2 + 1
+    monkeypatch.undo()
+    assert product == reference_mul(a, b)
 
 
 def test_scale_rejects_inexact_factors():
@@ -482,6 +524,36 @@ _exprs = st.lists(
     max_size=4,
 ).map(lambda items: TautExpr.build(
     SPEC21, ORDER, [(tuple(m), c) for m, c in items]))
+
+
+SPEC05C = ModuliSpec(0, default_labels(5), concrete=True)
+
+_concrete_gens = st.one_of(
+    st.integers(1, 3).map(kappa),
+    st.sampled_from(SPEC05C.labels).map(marked_psi),
+    st.just(delta_class()),
+    st.builds(lambda side, a, b: SPEC05C.sep_push(side[0], side[1], a, b),
+              st.sampled_from([(h, lab) for h, lab, _ in SPEC05C.splitting_classes()]),
+              st.integers(0, 1), st.integers(0, 1)),
+)
+
+# Concrete (0,5) has dimension 2, below the order 4, so the product's cap
+# is the dimension.
+_concrete_exprs = st.lists(
+    st.tuples(st.lists(_concrete_gens, min_size=0, max_size=3), _coeffs),
+    max_size=6,
+).map(lambda items: TautExpr.build(
+    SPEC05C, 4, [(tuple(m), c) for m, c in items]))
+
+
+@given(_exprs, _exprs)
+def test_product_equals_all_pairs_reference(a, b):
+    assert a * b == reference_mul(a, b)
+
+
+@given(_concrete_exprs, _concrete_exprs)
+def test_concrete_product_equals_all_pairs_reference(a, b):
+    assert a * b == reference_mul(a, b)
 
 
 @given(_exprs)

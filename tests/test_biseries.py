@@ -44,6 +44,23 @@ def test_build_validates():
         BiSeries.build(-1, {})
     with pytest.raises(DomainError):
         BiSeries.build(3, {(-1, 0): 1})
+    # Only exact input: a float coefficient would be kept as its binary
+    # expansion, and a string or a non-int order has no exact meaning.
+    for data in ({(0, 0): 0.1}, {(0, 0): "1/3"}, {(0, 0): None}, {(1.0, 0): 1},
+                 {(0, True): 1}):
+        with pytest.raises(DomainError):
+            BiSeries.build(4, data)
+    for order in (4.5, True, "4"):
+        with pytest.raises(DomainError):
+            BiSeries.build(order, {(0, 0): 1})
+
+
+def test_scale_takes_only_exact_factors():
+    one = BiSeries.one(4)
+    for q in (0.1, "1/3", True):
+        with pytest.raises(DomainError):
+            one.scale(q)
+    assert one.scale(Fraction(1, 3)).coeff(0, 0) == Fraction(1, 3)
 
 
 def test_variable_and_coeff():
@@ -227,6 +244,92 @@ def test_marked_point_table_summarizes_both_tails():
     for m, product, minus, plus in rows:
         assert product == plus
         assert (product == minus) == (m < 3)
+
+
+# ------------------------------------------------------- reference products
+
+def reference_mul(a: BiSeries, b: BiSeries) -> BiSeries:
+    """Every pair of terms multiplied and added as Fractions; the pairs
+    above the order are dropped only afterwards."""
+    data: dict[tuple[int, int], Fraction] = {}
+    for (i1, j1), c1 in a.coeffs:
+        for (i2, j2), c2 in b.coeffs:
+            i, j = i1 + i2, j1 + j2
+            if i + j > a.order:
+                continue
+            if a.cross_zero and i >= 1 and j >= 1:
+                continue
+            data[(i, j)] = data.get((i, j), Fraction(0)) + c1 * c2
+    return BiSeries.build(a.order, data, a.cross_zero)
+
+
+def reference_inverse(a: BiSeries) -> BiSeries:
+    """Coefficient by coefficient in Fractions: b_00 = 1/c0 and
+    b_ij = -(1/c0) sum a_kl b_(i-k,j-l) over (k,l) != (0,0)."""
+    c0 = a.coeff(0, 0)
+    data = a.as_dict()
+    b: dict[tuple[int, int], Fraction] = {(0, 0): 1 / c0}
+    for t in range(1, a.order + 1):
+        for i in range(t + 1):
+            j = t - i
+            if a.cross_zero and i >= 1 and j >= 1:
+                continue
+            s = Fraction(0)
+            for (k, l), ak in data.items():
+                if (k, l) != (0, 0) and k <= i and l <= j:
+                    s += ak * b.get((i - k, j - l), 0)
+            if s != 0:
+                b[(i, j)] = -s / c0
+    return BiSeries.build(a.order, b, a.cross_zero)
+
+
+# Small fractions, and +-1/k! up to 1/47!, whose common denominators are
+# the large ones the identity checks meet.
+_ref_vals = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=7),
+    st.builds(lambda k, sign: Fraction(sign, factorial(k)),
+              st.integers(0, 47), st.sampled_from((1, -1))))
+_constants = st.sampled_from(
+    (Fraction(1), Fraction(3, 7), Fraction(-2), Fraction(1, factorial(47))))
+
+
+@st.composite
+def _ref_pair(draw, unit=False):
+    """Two series of one random order and quotient flag; with unit the
+    first has a nonzero constant term."""
+    order = draw(st.integers(0, 9))
+    cross_zero = draw(st.booleans())
+    keys = st.tuples(st.integers(0, order), st.integers(0, order))
+    a, b = (draw(st.dictionaries(keys, _ref_vals, max_size=8)) for _ in range(2))
+    if unit:
+        a[(0, 0)] = draw(_constants)
+    return (BiSeries.build(order, a, cross_zero), BiSeries.build(order, b, cross_zero))
+
+
+@given(_ref_pair())
+def test_product_equals_reference(pair):
+    a, b = pair
+    assert a * b == reference_mul(a, b)
+
+
+@given(_ref_pair(unit=True))
+def test_inverse_equals_reference(pair):
+    a, b = pair
+    inv = a.inverse()
+    assert inv == reference_inverse(a)
+    assert a * inv == BiSeries.one(a.order, a.cross_zero)
+    assert (a * b) * inv == b
+
+
+def test_node_sheaf_product_equals_reference():
+    a, b = structure_sheaf_pair_ch(24), todd_dual_inverse_pair(24)
+    assert a * b == reference_mul(a, b)
+
+
+def test_unit_todd_inverse_equals_reference():
+    u = BiSeries.build(24, {(k, 0): Fraction((-1) ** k, factorial(k + 1))
+                            for k in range(25)})
+    assert u.inverse() == reference_inverse(u)
 
 
 # ------------------------------------------------------------------ properties
