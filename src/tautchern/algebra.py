@@ -469,12 +469,9 @@ class TautExpr:
             for m2, c2 in right[:bisect_right(degrees, cap - monomial_degree(m1))]))
 
     def __pow__(self, k: int) -> "TautExpr":
-        if k < 0:
-            raise DomainError(f"expression powers must be >= 0, got {k}")
-        out = TautExpr.one(self.spec, self.order)
-        for _ in range(k):
-            out = out * self
-        return out
+        if type(k) is not int or k < 0:
+            raise DomainError(f"expression powers must be an int >= 0, got {k!r}")
+        return sum_of_products(self.spec, self.order, [(Fraction(1), (), [self] * k)])
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -496,22 +493,27 @@ class TautExpr:
                 return c
         return Fraction(0)
 
-    def map_generators(self, fn, spec: ModuliSpec | None = None,
-                       order: int | None = None) -> "TautExpr":
-        """Rebuild the expression with every generator sent through fn.
-
-        fn returns a TautExpr on the target spec/order; products of
-        images replace products of generators.  This is the engine under
-        both substitution and concrete expansion.
+    def map_generators(self, fn) -> "TautExpr":
+        """Rebuild the expression with each generator g that fn sends to a
+        TautExpr (on this spec and order) replaced by that image; fn(g) is
+        None keeps g.  The kept generators seed each product unchanged.
+        This is the engine under substitution and under expansion.
         """
-        tspec = spec if spec is not None else self.spec
-        torder = order if order is not None else self.order
-        return sum_of_products(tspec, torder,
-                               ((c, map(fn, m)) for m, c in self.terms))
+        def split(m, c):
+            images = [fn(g) for g in m]
+            return (c, tuple(g for g, img in zip(m, images) if img is None),
+                    [img for img in images if img is not None])
+
+        return sum_of_products(self.spec, self.order, (split(m, c) for m, c in self.terms))
 
     def substitute(self, rules: Mapping[Gen, "TautExpr"]) -> "TautExpr":
         """Replace generators by expressions of the same degree everywhere."""
+        if not isinstance(rules, Mapping):
+            raise DomainError(f"substitution rules must be a mapping, got {type(rules).__name__}")
         for src, img in rules.items():
+            if not isinstance(src, Gen) or not isinstance(img, TautExpr):
+                raise DomainError(f"substitution rules map a Gen to a TautExpr, got "
+                                  f"{type(src).__name__} -> {type(img).__name__}")
             self._check_compatible(img)
             for m, _ in img.terms:
                 if monomial_degree(m) != src.degree:
@@ -519,27 +521,21 @@ class TautExpr:
                         f"substitution for {src.kind}{src.args} is not "
                         f"homogeneous of degree {src.degree}"
                     )
-
-        def fn(g: Gen) -> "TautExpr":
-            if g in rules:
-                return rules[g]
-            return TautExpr.of(self.spec, self.order, g)
-
-        return self.map_generators(fn)
+        return self.map_generators(rules.get)
 
 
 def sum_of_products(spec: ModuliSpec, order: int,
-                    products: Iterable[tuple[Fraction, Iterable[TautExpr]]]) -> TautExpr:
-    """The sum of c * f1 * f2 * ... over the (c, factors) pairs, merged once.
+                    products: Iterable[tuple[Fraction, Monomial, Iterable[TautExpr]]]) -> TautExpr:
+    """The sum of c * m * f1 * f2 * ... over the (c, m, factors) triples,
+    with each monomial m canonical on spec, merged once.
 
     Products of canonical expressions are canonical, so their terms are
     streamed into one collector call and only one product is held at a time.
     """
-    one = TautExpr.one(spec, order)
 
     def terms():
-        for c, factors in products:
-            piece = one.scale(c)
+        for c, mono, factors in products:
+            piece = TautExpr._collect(spec, order, [(mono, c)])
             for f in factors:
                 piece = piece * f
             yield from piece.terms
@@ -588,6 +584,6 @@ def expand_concrete(e: TautExpr) -> TautExpr:
             return TautExpr.build(cspec, order,
                                   [((cspec.sep_push(h, lab, a, b),), Fraction(mult))
                                    for h, lab, mult in cspec.splitting_classes()])
-        return TautExpr.of(cspec, order, g)
 
-    return e.map_generators(fn, spec=cspec, order=order)
+    # Generators valid on e.spec stay valid on cspec; _collect caps the degree.
+    return TautExpr._collect(cspec, order, e.terms).map_generators(fn)

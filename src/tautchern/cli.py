@@ -12,6 +12,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import factorial
 
 from .algebra import (
     ModuliSpec,
@@ -22,12 +23,12 @@ from .algebra import (
     kappa,
 )
 from .biseries import (
-    bernoulli_by_series,
     check_node_correction,
     check_todd_bernoulli,
     kappa_correction_series_table,
     marked_point_product,
     marked_point_reference,
+    todd_reciprocal,
 )
 from .formulas import (
     canonical_class,
@@ -129,9 +130,12 @@ def _verify_checks(order: int, inject_fault: bool):
     gating.append((
         f"todd reciprocal matches the Bernoulli expansion (order {todd_order})",
         check_todd_bernoulli(todd_order)))
+    # One inversion at order 30 holds every coefficient that
+    # bernoulli_by_series(k) would read from its own order-k inversion.
+    todd = todd_reciprocal(30)
     gating.append((
         "Bernoulli recurrence matches series inversion (k <= 30)",
-        all(bernoulli(k) == bernoulli_by_series(k) for k in range(0, 31, 2))))
+        all(bernoulli(k) == todd.coeff(k, 0) * factorial(k) for k in range(0, 31, 2))))
     table = kappa_correction_series_table(20)
     gating.append((
         "correction constants match the generating product (m <= 20)",

@@ -145,6 +145,8 @@ def _hodge_component_items(spec: ModuliSpec, m: int,
     lambda = (kappa_1 - psi + delta)/12 and is kept only so the
     inconsistency can be demonstrated.
     """
+    if type(half_includes_kappa) is not bool:
+        raise DomainError(f"half_includes_kappa must be a bool, got {half_includes_kappa!r}")
     pref = bernoulli(2 * m) / factorial(2 * m)
     kappa_c = pref / 2 if half_includes_kappa else pref
     return ([((kappa_tilde(2 * m - 1),), kappa_c)]
@@ -177,7 +179,6 @@ def expand_hodge(e: TautExpr, half_includes_kappa: bool = False) -> TautExpr:
             return TautExpr.build(
                 e.spec, e.order,
                 _hodge_component_items(e.spec, m, half_includes_kappa))
-        return TautExpr.of(e.spec, e.order, g)
 
     return e.map_generators(fn)
 
@@ -219,19 +220,18 @@ def delta_total(spec: ModuliSpec, order: int) -> TautExpr:
 def to_lambda_basis(e: TautExpr) -> TautExpr:
     """Rewrite the degree-1 block in terms of lambda, psi, and delta.
 
-    Generic mode first folds the two degree-1 boundary atoms back into
-    delta (the defining relation delta = half irr + half sep aggregate),
-    then substitutes kappa_1 = 12*lambda + psi - delta.  Concrete mode
-    substitutes kappa_1 with delta already in atom form.
+    Substitutes kappa_1 = 12*lambda + psi - delta; generic mode also
+    folds the degree-1 sep aggregate into delta (the defining relation
+    delta = half irr + half sep aggregate) in the same pass, as neither
+    image holds the other's source.  Concrete delta is in atom form.
     """
     spec, order = e.spec, e.order
+    rules = {kappa(1): (TautExpr.of(spec, order, hodge_component(1)).scale(12)
+                        + psi_total(spec, order) - delta_total(spec, order))}
     if not spec.concrete:
-        fold = (TautExpr.of(spec, order, delta_class()).scale(2)
-                - TautExpr.of(spec, order, irr_push(0, 0)))
-        e = e.substitute({sep_push_sum(0, 0): fold})
-    rule = (TautExpr.of(spec, order, hodge_component(1)).scale(12)
-            + psi_total(spec, order) - delta_total(spec, order))
-    return e.substitute({kappa(1): rule})
+        rules[sep_push_sum(0, 0)] = (TautExpr.of(spec, order, delta_class()).scale(2)
+                                     - TautExpr.of(spec, order, irr_push(0, 0)))
+    return e.substitute(rules)
 
 
 def canonical_class(spec: ModuliSpec, order: int = 1) -> TautExpr:
@@ -256,7 +256,7 @@ def chern_from_ch(ch: Mapping[int, TautExpr], jmax: int) -> list[TautExpr]:
         raise DomainError(f"missing Chern character components {missing}")
     probe = ch[1]
     return [sum_of_products(probe.spec, probe.order,
-                            ((partition_chern_coeff(mu), [ch[part] for part in mu])
+                            ((partition_chern_coeff(mu), (), [ch[part] for part in mu])
                              for mu in partitions(j)))
             for j in range(1, jmax + 1)]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,13 @@ from tautchern import (
     Gen,
     ModuliSpec,
     TautExpr,
+    ch_cotangent,
     default_labels,
     delta_as_atoms,
     delta_class,
     expand_concrete,
+    expand_hodge,
+    hodge_ch,
     hodge_component,
     irr_push,
     kappa,
@@ -27,6 +31,7 @@ from tautchern import (
     monomial_degree,
     psi_power_sum,
     sep_push_sum,
+    to_lambda_basis,
 )
 
 SPEC21 = ModuliSpec(2, default_labels(1))
@@ -604,3 +609,123 @@ def test_grading_splits_into_components(e):
 def test_expand_concrete_is_a_ring_map(a, b):
     assert expand_concrete(a + b) == expand_concrete(a) + expand_concrete(b)
     assert expand_concrete(a * b) == expand_concrete(a) * expand_concrete(b)
+
+
+# ------------------------------------------------------------ rewrite engine
+
+def reference_map_generators(e: TautExpr, fn, spec: ModuliSpec | None = None,
+                             order: int | None = None) -> TautExpr:
+    """The rewrite engine as it was before kept generators passed through:
+    a generator fn leaves alone gets the identity image TautExpr.of, and
+    each product starts from one.scale(c) and multiplies in every image."""
+    spec = e.spec if spec is None else spec
+    order = e.order if order is None else order
+    one = TautExpr.one(spec, order)
+    total = TautExpr.zero(spec, order)
+    for m, c in e.terms:
+        piece = one.scale(c)
+        for g in m:
+            img = fn(g)
+            piece = piece * (TautExpr.of(spec, order, g) if img is None else img)
+        total = total + piece
+    return total
+
+
+def reference_concrete_image(cspec: ModuliSpec, order: int, g: Gen):
+    """The concrete image of an aggregate generator, with the sep aggregate
+    summed over ordered splittings instead of weighted classes."""
+    if g.kind == "psi_power_sum":
+        return TautExpr.build(cspec, order, [((marked_psi(p),) * g.args[0], 1)
+                                             for p in cspec.labels])
+    if g.kind == "delta":
+        return delta_as_atoms(cspec, order)
+    if g.kind == "sep_push_sum":
+        return TautExpr.build(cspec, order, [((cspec.sep_push(h, lab, *g.args),), 1)
+                                             for h, lab in cspec.ordered_splittings()])
+    return None
+
+
+def _exprs_over(spec: ModuliSpec, order: int, gens, max_gens: int = 2):
+    return st.lists(
+        st.tuples(st.lists(gens, min_size=0, max_size=max_gens), _coeffs),
+        max_size=5,
+    ).map(lambda items: TautExpr.build(spec, order, [(tuple(m), c) for m, c in items]))
+
+
+# Generic (0,5) at order 4: its concrete dimension 2 caps the expansion.
+SPEC05 = ModuliSpec(0, default_labels(5))
+_exprs05 = _exprs_over(SPEC05, 4, _gens)
+_concrete_hodge_exprs = _exprs_over(
+    SPEC05C, 4, st.one_of(_concrete_gens, st.just(hodge_component(1))), 3)
+
+# (expression strategy, generators a rule may rewrite): generic (2,1) at
+# order 5, and concrete (0,5) at order 4 with the dimension 2 as cap.
+_REWRITE_CASES = [
+    (_exprs, [kappa(1), kappa(2), psi_power_sum(1), hodge_component(1),
+              delta_class(), sep_push_sum(0, 0)]),
+    (_concrete_exprs, [kappa(1), kappa(2), marked_psi("p1"), delta_class(),
+                       SPEC05C.sep_push(0, ("p1", "p2"), 0, 0)]),
+]
+
+
+@pytest.mark.parametrize("exprs,sources", _REWRITE_CASES, ids=["generic", "concrete"])
+@given(data=st.data())
+def test_substitute_equals_reference_engine(exprs, sources, data):
+    e = data.draw(exprs)
+    rules = {src: data.draw(exprs).component(src.degree)
+             for src in data.draw(st.lists(st.sampled_from(sources), unique=True,
+                                           max_size=3))}
+    assert e.substitute(rules) == reference_map_generators(e, rules.get)
+
+
+@pytest.mark.parametrize("exprs", [_exprs, _exprs05], ids=["g2n1", "g0n5"])
+@given(data=st.data())
+def test_expand_concrete_equals_reference_engine(exprs, data):
+    e = data.draw(exprs)
+    cspec = replace(e.spec, concrete=True)
+    assert expand_concrete(e) == reference_map_generators(
+        e, lambda g: reference_concrete_image(cspec, e.order, g), cspec, e.order)
+
+
+@pytest.mark.parametrize("exprs", [_exprs, _concrete_hodge_exprs],
+                         ids=["generic", "concrete"])
+@given(data=st.data())
+def test_expand_hodge_equals_reference_engine(exprs, data):
+    e = data.draw(exprs)
+    full = hodge_ch(e.spec, e.order)
+    assert expand_hodge(e) == reference_map_generators(
+        e, lambda g: full.component(g.args[0]) if g.kind == "hodge_ch" else None)
+
+
+@pytest.mark.parametrize("exprs", [_exprs, _concrete_exprs], ids=["generic", "concrete"])
+@given(data=st.data())
+def test_power_equals_reference_engine(exprs, data):
+    e = data.draw(exprs)
+    k = data.draw(st.integers(0, 4))
+    expected = TautExpr.one(e.spec, e.order)
+    for _ in range(k):
+        expected = expected * e
+    assert e ** k == expected
+
+
+def test_lambda_basis_multiplies_only_rewritten_terms(monkeypatch):
+    """Only the kappa_1 and degree-1 sep aggregate terms of the (2,1)
+    character have an image; every other term passes through unmultiplied."""
+    e = ch_cotangent(ModuliSpec(2, ("p1",)), 9)
+    calls = []
+    real = TautExpr.__mul__
+    monkeypatch.setattr(TautExpr, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    to_lambda_basis(e)
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda e: e.substitute({"x": e}),
+    lambda e: e.substitute({hodge_component(1): 3}),
+    lambda e: e.substitute([(hodge_component(1), e)]),
+    lambda e: e ** 2.5,
+    lambda e: e ** "2",
+], ids=["str-source", "int-image", "pair-list", "float-power", "str-power"])
+def test_rewrite_entry_points_reject_bad_input(call):
+    with pytest.raises(DomainError):
+        call(TautExpr.of(SPEC21, 3, hodge_component(1)))

@@ -199,6 +199,13 @@ def test_hodge_half_inside_variant_breaks_the_relation():
     assert e != expected
 
 
+def test_hodge_variant_switch_must_be_a_bool():
+    """A truthy non-bool such as "no" must not pick the half-on-kappa~
+    variant."""
+    with pytest.raises(DomainError):
+        hodge_ch(SPEC21, 3, half_includes_kappa="no")
+
+
 def test_expand_hodge_reproduces_components():
     lam = TautExpr.of(SPEC21, 3, hodge_component(1))
     ch3 = TautExpr.of(SPEC21, 3, hodge_component(3))
