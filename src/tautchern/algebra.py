@@ -233,12 +233,19 @@ class ModuliSpec:
             raise DomainError("repeated marking label in subset")
         return tuple(sorted(map(self.labels.index, lab)))
 
+    def _side(self, h: int, labels: Iterable[str]) -> tuple[bool, tuple[int, tuple[str, ...]]]:
+        """Whether the splitting (h, A) is stable, and its canonical side,
+        from one _positions call and without the splitting table."""
+        idx = self._positions(h, labels)
+        comp = tuple(i for i in range(self.n) if i not in idx)
+        stable = (0 <= h <= self.genus and 2 * h - 1 + len(idx) > 0
+                  and 2 * (self.genus - h) - 1 + len(comp) > 0)
+        hh, _, pos = min((h, len(idx), idx), (self.genus - h, len(comp), comp))
+        return stable, (hh, tuple(self.labels[i] for i in pos))
+
     def splitting_is_stable(self, h: int, labels: Iterable[str]) -> bool:
         """Both sides of the separating splitting (h, A) must be stable."""
-        size = len(self._positions(h, labels))
-        if h < 0 or h > self.genus:
-            return False
-        return (2 * h - 1 + size > 0) and (2 * (self.genus - h) - 1 + (self.n - size) > 0)
+        return self._side(h, labels)[0]
 
     def ordered_splittings(self) -> list[tuple[int, tuple[str, ...]]]:
         """Every ordered stable pair (h, A), in a fixed deterministic order."""
@@ -251,10 +258,7 @@ class ModuliSpec:
     def canonical_splitting(self, h: int, labels: Iterable[str]) -> tuple[int, tuple[str, ...]]:
         """The smaller of (h, A) and its mirror, compared by (h, |A|,
         marking positions of A)."""
-        idx = self._positions(h, labels)
-        comp = tuple(i for i in range(self.n) if i not in idx)
-        hh, _, pos = min((h, len(idx), idx), (self.genus - h, len(comp), comp))
-        return hh, tuple(self.labels[i] for i in pos)
+        return self._side(h, labels)[1]
 
     def splitting_classes(self) -> list[tuple[int, tuple[str, ...], int]]:
         """Canonical separating divisor representatives with multiplicities.
@@ -289,13 +293,13 @@ class ModuliSpec:
         """
         if not all(type(x) is int for x in (h, a, b)):
             raise DomainError(f"sep_push takes int h, a and b, got {(h, a, b)!r}")
-        if not self.splitting_is_stable(h, labels):
+        stable, side = self._side(h, labels)
+        if not stable:
             raise DomainError(
                 f"splitting (h={h}, A={tuple(labels)}) is not stable on "
                 f"(g={self.genus}, n={self.n})"
             )
-        ch, clab = self.canonical_splitting(h, labels)
-        return Gen(BSEP, (ch, clab, max(a, b), min(a, b)))
+        return Gen(BSEP, (*side, max(a, b), min(a, b)))
 
 
 @lru_cache(maxsize=32)
@@ -339,9 +343,10 @@ def _validate_gen(gen: Gen, spec: ModuliSpec) -> None:
         if not spec.concrete:
             raise DomainError("individual sep pushforward atoms require a concrete specification")
         h, lab = gen.args[:2]
-        if (h, lab) != spec.canonical_splitting(h, lab):
+        stable, side = spec._side(h, lab)
+        if (h, lab) != side:
             raise DomainError(f"sep atom side (h={h}, A={lab}) is not canonical")
-        if not spec.splitting_is_stable(h, lab):
+        if not stable:
             raise DomainError(f"sep atom splitting (h={h}, A={lab}) is not stable")
 
 
@@ -352,6 +357,11 @@ def _monomial_vanishes(mono: Monomial, spec: ModuliSpec) -> bool:
         if g.kind == BIRR and spec.genus == 0:
             return True
     return False
+
+
+def _check_order(order: int) -> None:
+    if type(order) is not int or order < 0:
+        raise DomainError(f"truncation order must be an int >= 0, got {order!r}")
 
 
 def _cap(spec: ModuliSpec, order: int) -> int:
@@ -380,8 +390,7 @@ class TautExpr:
         identically (psi sums with no markings, irreducible atoms in
         genus 0) are all dropped.
         """
-        if type(order) is not int or order < 0:
-            raise DomainError(f"truncation order must be an int >= 0, got {order!r}")
+        _check_order(order)
         checked = []
         for gens, coeff in items:
             q = _exact(coeff)
@@ -501,6 +510,9 @@ class TautExpr:
         """
         def split(m, c):
             images = [fn(g) for g in m]
+            if not all(img is None or isinstance(img, TautExpr) for img in images):
+                raise DomainError("map_generators images must be a TautExpr or None, got "
+                                  f"{[type(img).__name__ for img in images]}")
             return (c, tuple(g for g, img in zip(m, images) if img is None),
                     [img for img in images if img is not None])
 
@@ -552,12 +564,11 @@ def delta_as_atoms(spec: ModuliSpec, order: int) -> TautExpr:
     """
     if not spec.concrete:
         raise DomainError("concrete boundary expansion needs a concrete specification")
-    items: list[tuple[tuple[Gen, ...], Fraction]] = []
-    if spec.genus >= 1:
-        items.append(((irr_push(0, 0),), Fraction(1, 2)))
-    for h, lab, mult in spec.splitting_classes():
-        items.append(((spec.sep_push(h, lab, 0, 0),), Fraction(mult, 2)))
-    return TautExpr.build(spec, order, items)
+    _check_order(order)
+    items = [((irr_push(0, 0),), Fraction(1, 2))] if spec.genus >= 1 else []
+    items += [((Gen(BSEP, (h, lab, 0, 0)),), Fraction(mult, 2))
+              for h, lab, mult in spec.splitting_classes()]
+    return TautExpr._collect(spec, order, items)
 
 
 def expand_concrete(e: TautExpr) -> TautExpr:
@@ -574,16 +585,16 @@ def expand_concrete(e: TautExpr) -> TautExpr:
     def fn(g: Gen) -> TautExpr:
         if g.kind == PSIPOW:
             m = g.args[0]
-            return TautExpr.build(cspec, order,
-                                  [((marked_psi(p),) * m, Fraction(1))
-                                   for p in cspec.labels])
+            return TautExpr._collect(cspec, order,
+                                     [((marked_psi(p),) * m, Fraction(1))
+                                      for p in cspec.labels])
         if g.kind == DELTA:
             return delta_as_atoms(cspec, order)
         if g.kind == BSEPA:
             a, b = g.args
-            return TautExpr.build(cspec, order,
-                                  [((cspec.sep_push(h, lab, a, b),), Fraction(mult))
-                                   for h, lab, mult in cspec.splitting_classes()])
+            return TautExpr._collect(cspec, order,
+                                     [((Gen(BSEP, (h, lab, a, b)),), Fraction(mult))
+                                      for h, lab, mult in cspec.splitting_classes()])
 
     # Generators valid on e.spec stay valid on cspec; _collect caps the degree.
     return TautExpr._collect(cspec, order, e.terms).map_generators(fn)

@@ -24,14 +24,16 @@ from math import factorial
 from typing import Mapping
 
 from .algebra import (
+    BSEP,
     CHE,
     KAPPA,
     KAPPATILDE,
+    Gen,
     ModuliSpec,
     TautExpr,
+    _splitting_table,
     delta_as_atoms,
     delta_class,
-    expand_concrete,
     hodge_component,
     irr_push,
     kappa,
@@ -95,25 +97,26 @@ def _boundary_items(spec: ModuliSpec, shapes: SymPoly2, scalar: Fraction):
     along the irreducible and the separating boundary maps.
 
     In concrete mode the separating part is assembled divisor by divisor,
-    iterating every ordered stable splitting directly; the generic route
-    goes through the aggregate atoms instead, so the two paths are
-    genuinely independent and can be compared.
+    iterating every ordered stable splitting with its canonical side read
+    from the splitting table; the generic route goes through the aggregate
+    atoms instead, so the two paths are genuinely independent and can be
+    compared.  Each item is one checked generator, none vanishing (no
+    irreducible atoms in genus 0), ready for TautExpr._collect.
     """
-    items = [((irr_push(a, b),), scalar * c) for (a, b), c in shapes.items()]
+    scaled = [(a, b, scalar * c) for (a, b), c in shapes.items()]
+    items = [((irr_push(a, b),), q) for a, b, q in scaled] if spec.genus >= 1 else []
     if spec.concrete:
-        for h, lab in spec.ordered_splittings():
-            items.extend(((spec.sep_push(h, lab, a, b),), scalar * c)
-                         for (a, b), c in shapes.items())
+        for side in _splitting_table(spec).values():
+            items.extend(((Gen(BSEP, (*side, a, b)),), q) for a, b, q in scaled)
     else:
-        items.extend(((sep_push_sum(a, b),), scalar * c)
-                     for (a, b), c in shapes.items())
+        items.extend(((sep_push_sum(a, b),), q) for a, b, q in scaled)
     return items
 
 
 def ch_cotangent(spec: ModuliSpec, order: int) -> TautExpr:
     """Graded Chern character of the cotangent bundle, degrees 1..order."""
-    if order < 1:
-        raise DomainError(f"character order must be >= 1, got {order}")
+    if type(order) is not int or order < 1:
+        raise DomainError(f"character order must be an int >= 1, got {order!r}")
     items: list[tuple[tuple, Fraction]] = []
     top = min(order, spec.dimension) if spec.concrete else order
     for d in range(1, top + 1):
@@ -122,7 +125,7 @@ def ch_cotangent(spec: ModuliSpec, order: int) -> TautExpr:
             items.append(((hodge_component(d),), Fraction(1)))
         items.extend(_boundary_items(spec, boundary_argument(d),
                                      boundary_coefficient(d)))
-    return TautExpr.build(spec, order, items)
+    return TautExpr._collect(spec, order, items)
 
 
 def dualize(e: TautExpr) -> TautExpr:
@@ -160,14 +163,14 @@ def hodge_ch(spec: ModuliSpec, order: int,
     Only odd degrees 2m-1 carry terms; the rank g is reported by rank().
     The kappa~ generators can be rewritten through kappa_tilde_rewrite.
     """
-    if order < 0:
-        raise DomainError(f"character order must be >= 0, got {order}")
+    if type(order) is not int or order < 0:
+        raise DomainError(f"character order must be an int >= 0, got {order!r}")
     items: list[tuple[tuple, Fraction]] = []
     m = 1
     while 2 * m - 1 <= order:
         items.extend(_hodge_component_items(spec, m, half_includes_kappa))
         m += 1
-    return TautExpr.build(spec, order, items)
+    return TautExpr._collect(spec, order, items)
 
 
 def expand_hodge(e: TautExpr, half_includes_kappa: bool = False) -> TautExpr:
@@ -176,7 +179,7 @@ def expand_hodge(e: TautExpr, half_includes_kappa: bool = False) -> TautExpr:
     def fn(g):
         if g.kind == CHE:
             m = (g.args[0] + 1) // 2
-            return TautExpr.build(
+            return TautExpr._collect(
                 e.spec, e.order,
                 _hodge_component_items(e.spec, m, half_includes_kappa))
 

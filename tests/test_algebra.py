@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from tautchern import (
     delta_as_atoms,
     delta_class,
     expand_concrete,
+    expr_from_json,
     expand_hodge,
     hodge_ch,
     hodge_component,
@@ -30,6 +32,7 @@ from tautchern import (
     monomial,
     monomial_degree,
     psi_power_sum,
+    render_json_dict,
     sep_push_sum,
     to_lambda_basis,
 )
@@ -259,6 +262,30 @@ def test_sep_push_validates():
         spec.sep_push(1, ("nope",), 0, 0)
     with pytest.raises(DomainError):
         spec.sep_push(1, (), -1, 0)
+
+
+def test_raw_sep_input_is_checked_without_the_splitting_table():
+    """sep_push, build and the JSON parser check one atom in O(n): on 40
+    markings (2^40 splittings) none of them makes or reads the table."""
+    spec = ModuliSpec(1, default_labels(40), concrete=True)
+    before = algebra._splitting_table.cache_info()
+    unstable = r"splitting \(h=0, A=\('p1',\)\) is not stable on \(g=1, n=40\)"
+    with pytest.raises(DomainError, match=unstable):
+        spec.sep_push(0, ("p1",), 0, 0)
+    with pytest.raises(DomainError, match=r"sep atom side \(h=1, A=\('p1',\)\) is not canonical"):
+        TautExpr.build(spec, 1, [((Gen("sep_push", (1, ("p1",), 0, 0)),), 1)])
+
+    def parse(h, lab):
+        doc = render_json_dict(TautExpr.of(spec, 1, spec.sep_push(0, ("p1", "p2"), 0, 0)))
+        doc["terms"][0]["monomial"][0]["args"] = [h, lab, 0, 0]
+        return expr_from_json(json.dumps(doc))
+
+    with pytest.raises(DomainError, match=unstable):
+        parse(0, ["p1"])
+    # The parser goes through sep_push, which puts a stable side on its
+    # canonical side instead of refusing it.
+    assert parse(1, ["p1"]) == TautExpr.of(spec, 1, spec.sep_push(0, default_labels(40)[1:], 0, 0))
+    assert algebra._splitting_table.cache_info() == before
 
 
 # ------------------------------------------------------------- canonical form
@@ -725,7 +752,11 @@ def test_lambda_basis_multiplies_only_rewritten_terms(monkeypatch):
     lambda e: e.substitute([(hodge_component(1), e)]),
     lambda e: e ** 2.5,
     lambda e: e ** "2",
-], ids=["str-source", "int-image", "pair-list", "float-power", "str-power"])
+    lambda e: e.map_generators(lambda g: 3),
+    lambda e: e.map_generators(lambda g: TautExpr.of(SPEC21, 4, g)),
+    lambda e: e.map_generators(lambda g: TautExpr.of(ModuliSpec(1, ("p1",)), 3, g)),
+], ids=["str-source", "int-image", "pair-list", "float-power", "str-power",
+        "map-int-image", "map-other-order", "map-other-spec"])
 def test_rewrite_entry_points_reject_bad_input(call):
     with pytest.raises(DomainError):
         call(TautExpr.of(SPEC21, 3, hodge_component(1)))

@@ -14,6 +14,8 @@ from tautchern import (
     DomainError,
     ModuliSpec,
     TautExpr,
+    alternating_sym,
+    bernoulli,
     canonical_class,
     ch_bundle,
     ch_cotangent,
@@ -348,3 +350,97 @@ def test_concrete_sep_coefficient_merging():
     marked = ModuliSpec(2, default_labels(1), concrete=True)
     e2 = ch_cotangent(marked, 2).component(2)
     assert e2.coefficient(marked.sep_push(1, (), 1, 0)) == Fraction(1, 2)
+
+
+# ------------------------------------ trusted producers against the checked route
+
+def reference_boundary_items(spec: ModuliSpec, shapes, scalar):
+    """The boundary block the checked way: irreducible atoms in every genus
+    (build drops them in genus 0) and, in concrete mode, every ordered
+    splitting put on its canonical side by sep_push."""
+    items = [((irr_push(a, b),), scalar * c) for (a, b), c in shapes.items()]
+    if spec.concrete:
+        for h, lab in spec.ordered_splittings():
+            items += [((spec.sep_push(h, lab, a, b),), scalar * c)
+                      for (a, b), c in shapes.items()]
+    else:
+        items += [((sep_push_sum(a, b),), scalar * c) for (a, b), c in shapes.items()]
+    return items
+
+
+def reference_ch_cotangent(spec: ModuliSpec, order: int) -> TautExpr:
+    items = []
+    for d in range(1, order + 1):
+        items.append(((kappa(d),), kappa_coefficient(d)))
+        if d % 2:
+            items.append(((hodge_component(d),), 1))
+        items += reference_boundary_items(spec, boundary_argument(d), boundary_coefficient(d))
+    return TautExpr.build(spec, order, items)
+
+
+def reference_hodge_ch(spec: ModuliSpec, order: int) -> TautExpr:
+    items = []
+    for m in range(1, (order + 1) // 2 + 1):
+        pref = bernoulli(2 * m) / factorial(2 * m)
+        items.append(((kappa_tilde(2 * m - 1),), pref))
+        items += reference_boundary_items(spec, alternating_sym(2 * m - 2), pref / 2)
+    return TautExpr.build(spec, order, items)
+
+
+def reference_delta_as_atoms(spec: ModuliSpec, order: int) -> TautExpr:
+    """Half the irreducible atom plus half of every ordered splitting."""
+    return TautExpr.build(spec, order, [((irr_push(0, 0),), Fraction(1, 2))] + [
+        ((spec.sep_push(h, lab, 0, 0),), Fraction(1, 2)) for h, lab in spec.ordered_splittings()])
+
+
+# Genus 0 (no irreducible atoms), genus 1 and 2, and (2,0), whose middle
+# divisor is its own mirror.
+TRUSTED_SPECS = [(0, 4), (0, 6), (0, 9), (1, 1), (1, 3), (2, 2), (2, 0)]
+
+
+@pytest.mark.parametrize("g,n", TRUSTED_SPECS)
+def test_trusted_producers_equal_the_checked_route(g, n):
+    generic = ModuliSpec(g, default_labels(n))
+    spec = ModuliSpec(g, default_labels(n), concrete=True)
+    cot = reference_ch_cotangent(spec, 5)
+    hodge = reference_hodge_ch(spec, 5)
+    assert ch_cotangent(spec, 5) == cot
+    assert hodge_ch(spec, 5) == hodge
+    assert delta_as_atoms(spec, 1) == reference_delta_as_atoms(spec, 1)
+    assert expand_concrete(ch_cotangent(generic, 5)) == cot
+    assert expand_hodge(TautExpr.of(spec, 5, hodge_component(3))) == hodge.component(3)
+    assert ch_cotangent(generic, 5) == reference_ch_cotangent(generic, 5)
+    assert hodge_ch(generic, 5) == reference_hodge_ch(generic, 5)
+    if g == 0:
+        assert all(gen.kind != "irr_push" for e in (cot, hodge) for m, _ in e.terms for gen in m)
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: ch_cotangent(spec, 2.0),
+    lambda spec: ch_cotangent(spec, True),
+    lambda spec: hodge_ch(spec, 3.0),
+    lambda spec: hodge_ch(spec, -1),
+    lambda spec: delta_as_atoms(spec, -1),
+    lambda spec: delta_as_atoms(spec, "1"),
+], ids=["ch-float", "ch-bool", "hodge-float", "hodge-negative", "delta-negative", "delta-str"])
+def test_trusted_producers_check_their_order(call):
+    """The producers merge without build, so they check the order themselves."""
+    with pytest.raises(DomainError):
+        call(ModuliSpec(1, default_labels(2), concrete=True))
+
+
+def test_warm_concrete_producers_check_no_splitting(monkeypatch):
+    """Once a spec's splitting table exists, the concrete producers read
+    canonical sides from it and check no splitting on their own."""
+    spec = ModuliSpec(1, default_labels(4), concrete=True)
+    spec.ordered_splittings()
+    calls = []
+    for name in ("canonical_splitting", "_positions"):
+        real = getattr(ModuliSpec, name)
+        monkeypatch.setattr(ModuliSpec, name,
+                            lambda self, *a, real=real, name=name: calls.append(name) or real(self, *a))
+    ch_cotangent(spec, 4)
+    hodge_ch(spec, 4)
+    delta_as_atoms(spec, 1)
+    expand_concrete(ch_cotangent(ModuliSpec(1, default_labels(4)), 4))
+    assert calls == []
