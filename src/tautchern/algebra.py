@@ -11,18 +11,24 @@ key (a, b) with a >= b stands for the monomial symmetric polynomial
 m_(a,b) in the two cotangent classes at the node.  For separating atoms
 the pair (h, A) is stored as the canonical representative of the
 identification (h, A) ~ (g-h, complement of A).
+
+Every product runs in one kernel, sum_of_products: a per-call table
+numbers the generators in stored order, monomials become sorted int
+tuples, coefficients integer numerators over one lcm, and each output
+term costs one Fraction; the table dies with the call.  The collector
+under +, scale and component also sums integer numerators over one lcm.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from math import lcm, prod
+from typing import Iterable, Mapping, Sequence
 
 from .rationals import DomainError, _exact
 
@@ -72,13 +78,15 @@ def check_args(kind: str, args) -> None:
 @dataclass(frozen=True, slots=True)
 class Gen:
     """One tautological generator symbol, checked against the generator
-    table when it is made.  Its degree and its hash are stored once; they
-    take no part in equality, and the hash is that of (kind, args)."""
+    table when it is made.  Its degree, hash (that of (kind, args)) and
+    order keys are stored once and take no part in equality."""
 
     kind: str
     args: tuple = ()
     degree: int = field(init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
+    _sort: tuple = field(init=False, compare=False, repr=False)
+    _display: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         check_args(self.kind, self.args)
@@ -95,15 +103,17 @@ class Gen:
                 raise DomainError(f"{self.kind} index must be >= 1 (odd for {CHE}), got {degree}")
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "_hash", hash((self.kind, self.args)))
+        object.__setattr__(self, "_sort", (_KINDS[self.kind][0], self.args))
+        object.__setattr__(self, "_display", (_KINDS[self.kind][1], self.args))
 
     def __hash__(self):
         return self._hash
 
     def sort_key(self):
-        return (_KINDS[self.kind][0], self.args)
+        return self._sort
 
     def display_key(self):
-        return (_KINDS[self.kind][1], self.args)
+        return self._display
 
 
 def kappa(m: int) -> Gen:
@@ -328,8 +338,7 @@ def monomial(*gens: Gen) -> Monomial:
 
 def monomial_degree(mono: Monomial) -> int:
     # Summing a list, not a generator: on a monomial's short tuple the
-    # generator costs about half again as much, and this runs once per
-    # right term in every product and twice per term in every merge.
+    # generator costs about half again as much.
     return sum([g.degree for g in mono])
 
 
@@ -405,18 +414,20 @@ class TautExpr:
 
     @staticmethod
     def _collect(spec: ModuliSpec, order: int,
-                 pairs: Iterable[tuple[Monomial, Fraction]]) -> "TautExpr":
+                 pairs: Sequence[tuple[Monomial, Fraction]]) -> "TautExpr":
         """Merge (monomial, coefficient) pairs that are already canonical on
         spec: sum repeated monomials, drop zero sums and terms above the
         cap, and sort into print order: by degree, then by the display keys
         of the monomial's generators."""
         cap = _cap(spec, order)
-        acc: dict[Monomial, Fraction] = {}
+        den = lcm(*[q.denominator for _, q in pairs])
+        acc: dict[Monomial, int] = {}
         for mono, q in pairs:
-            acc[mono] = acc.get(mono, 0) + q
-        terms = [(m, c) for m, c in acc.items() if c and monomial_degree(m) <= cap]
+            acc[mono] = acc.get(mono, 0) + q.numerator * (den // q.denominator)
+        terms = [(m, Fraction(n, den)) for m, n in acc.items()
+                 if n and monomial_degree(m) <= cap]
         terms.sort(key=lambda mc: (monomial_degree(mc[0]),
-                                   tuple(g.display_key() for g in mc[0])))
+                                   tuple([g.display_key() for g in mc[0]])))
         return TautExpr(spec, order, tuple(terms))
 
     @staticmethod
@@ -434,17 +445,8 @@ class TautExpr:
             gens = (gens,)
         return TautExpr.build(spec, order, [(tuple(gens), coeff)])
 
-    def _check_compatible(self, other: "TautExpr") -> None:
-        if self.spec != other.spec:
-            raise DomainError("expressions live on different moduli specifications")
-        if self.order != other.order:
-            raise DomainError(
-                f"expressions have different truncation orders "
-                f"({self.order} vs {other.order})"
-            )
-
     def __add__(self, other: "TautExpr") -> "TautExpr":
-        self._check_compatible(other)
+        _check_compatible(self.spec, self.order, other)
         return TautExpr._collect(self.spec, self.order, self.terms + other.terms)
 
     def __sub__(self, other: "TautExpr") -> "TautExpr":
@@ -465,17 +467,11 @@ class TautExpr:
                                  [(m, c * q ** monomial_degree(m)) for m, c in self.terms])
 
     def __mul__(self, other: "TautExpr") -> "TautExpr":
-        """The truncated product.  Terms are stored by degree, so each left
-        term of degree d meets only the right terms up to degree cap - d,
-        and no pair above the cap is built."""
-        self._check_compatible(other)
-        cap = _cap(self.spec, self.order)
-        right = other.terms
-        degrees = [monomial_degree(m) for m, _ in right]
-        return TautExpr._collect(self.spec, self.order, (
-            (monomial(*m1, *m2), c1 * c2)
-            for m1, c1 in self.terms
-            for m2, c2 in right[:bisect_right(degrees, cap - monomial_degree(m1))]))
+        """The truncated product: each left term times other, in the kernel.
+        other is checked here too, since a zero self hands the kernel none."""
+        _check_compatible(self.spec, self.order, other)
+        return sum_of_products(self.spec, self.order,
+                               [(c, m, (other,)) for m, c in self.terms])
 
     def __pow__(self, k: int) -> "TautExpr":
         if type(k) is not int or k < 0:
@@ -505,11 +501,14 @@ class TautExpr:
     def map_generators(self, fn) -> "TautExpr":
         """Rebuild the expression with each generator g that fn sends to a
         TautExpr (on this spec and order) replaced by that image; fn(g) is
-        None keeps g.  The kept generators seed each product unchanged.
-        This is the engine under substitution and under expansion.
+        None keeps g.  fn is called once per distinct generator.  The kept
+        generators seed each product unchanged.  This is the engine under
+        substitution and under expansion.
         """
+        memo: dict[Gen, TautExpr | None] = {}
+
         def split(m, c):
-            images = [fn(g) for g in m]
+            images = [memo[g] if g in memo else memo.setdefault(g, fn(g)) for g in m]
             if not all(img is None or isinstance(img, TautExpr) for img in images):
                 raise DomainError("map_generators images must be a TautExpr or None, got "
                                   f"{[type(img).__name__ for img in images]}")
@@ -526,7 +525,7 @@ class TautExpr:
             if not isinstance(src, Gen) or not isinstance(img, TautExpr):
                 raise DomainError(f"substitution rules map a Gen to a TautExpr, got "
                                   f"{type(src).__name__} -> {type(img).__name__}")
-            self._check_compatible(img)
+            _check_compatible(self.spec, self.order, img)
             for m, _ in img.terms:
                 if monomial_degree(m) != src.degree:
                     raise DomainError(
@@ -536,23 +535,70 @@ class TautExpr:
         return self.map_generators(rules.get)
 
 
+def _check_compatible(spec: ModuliSpec, order: int, other: TautExpr) -> None:
+    if spec != other.spec:
+        raise DomainError("expressions live on different moduli specifications")
+    if order != other.order:
+        raise DomainError(
+            f"expressions have different truncation orders ({order} vs {other.order})")
+
+
 def sum_of_products(spec: ModuliSpec, order: int,
                     products: Iterable[tuple[Fraction, Monomial, Iterable[TautExpr]]]) -> TautExpr:
     """The sum of c * m * f1 * f2 * ... over the (c, m, factors) triples,
-    with each monomial m canonical on spec, merged once.
+    with each monomial m canonical on spec: the one product kernel.  Each
+    distinct factor object is read once, by degree, as int monomials with
+    numerators over its lcm; pieces run over the lcm of their denominators."""
+    cap = _cap(spec, order)
+    products = [(c, mono, tuple(fs)) for c, mono, fs in products]
+    factors = {id(f): f for _, _, fs in products for f in fs}
+    gens = {g for _, mono, _ in products for g in mono}
+    for f in factors.values():
+        _check_compatible(spec, order, f)
+        gens.update(*[m for m, _ in f.terms])
+    table = sorted(gens, key=Gen.sort_key)
+    index = {g: i for i, g in enumerate(table)}
+    read = {}
+    for key, f in factors.items():
+        den = lcm(*[c.denominator for _, c in f.terms])
+        groups = [[] for _ in range(cap + 1)]
+        for m, c in f.terms:
+            groups[monomial_degree(m)].append(
+                (tuple([index[g] for g in m]), c.numerator * (den // c.denominator)))
+        read[key] = den, groups
+    pieces = [(c, monomial_degree(mono), tuple([index[g] for g in mono]),
+               [read[id(f)] for f in fs])
+              for c, mono, fs in products if c and monomial_degree(mono) <= cap]
+    dens = [c.denominator * prod([den for den, _ in chain]) for c, _, _, chain in pieces]
+    big = lcm(*dens)
+    total: list[dict[tuple[int, ...], int]] = [{} for _ in range(cap + 1)]
+    for (c, d, mono, chain), den in zip(pieces, dens):
+        num = c.numerator * (big // den)
+        if not chain:
+            total[d][mono] = total[d].get(mono, 0) + num
+        state = [(d, {mono: num})]
+        for i, (_, groups) in enumerate(chain, 1):
+            out = total if i == len(chain) else [{} for _ in range(cap + 1)]
+            _times(state, groups, out, cap)
+            state = [(k, part) for k, part in enumerate(out) if part]
+    rank = {i: r for r, i in enumerate(sorted(range(len(table)),
+                                              key=lambda i: table[i].display_key()))}
+    return TautExpr(spec, order, tuple(
+        (tuple([table[i] for i in m]), Fraction(acc[m], big)) for acc in total
+        for m in sorted([m for m, n in acc.items() if n], key=lambda m: [rank[i] for i in m])))
 
-    Products of canonical expressions are canonical, so their terms are
-    streamed into one collector call and only one product is held at a time.
-    """
 
-    def terms():
-        for c, mono, factors in products:
-            piece = TautExpr._collect(spec, order, [(mono, c)])
-            for f in factors:
-                piece = piece * f
-            yield from piece.terms
-
-    return TautExpr._collect(spec, order, terms())
+def _times(state, groups, out, cap: int) -> None:
+    """Add state ((degree, {int monomial: numerator}) parts) times a factor's
+    degree groups into out; a part of degree d meets groups up to cap - d."""
+    for d1, part in state:
+        left = list(part.items())
+        for d2 in range(cap - d1 + 1):
+            acc = out[d1 + d2]
+            for m2, n2 in groups[d2]:
+                for m1, n1 in left:
+                    m = tuple(sorted(m1 + m2))
+                    acc[m] = acc.get(m, 0) + n1 * n2
 
 
 def delta_as_atoms(spec: ModuliSpec, order: int) -> TautExpr:

@@ -31,7 +31,6 @@ from .algebra import (
     Gen,
     ModuliSpec,
     TautExpr,
-    _splitting_table,
     delta_as_atoms,
     delta_class,
     hodge_component,
@@ -97,17 +96,17 @@ def _boundary_items(spec: ModuliSpec, shapes: SymPoly2, scalar: Fraction):
     along the irreducible and the separating boundary maps.
 
     In concrete mode the separating part is assembled divisor by divisor,
-    iterating every ordered stable splitting with its canonical side read
-    from the splitting table; the generic route goes through the aggregate
-    atoms instead, so the two paths are genuinely independent and can be
-    compared.  Each item is one checked generator, none vanishing (no
-    irreducible atoms in genus 0), ready for TautExpr._collect.
+    one atom per class of splitting_classes weighted by its multiplicity;
+    the generic route goes through the aggregate atoms instead, so the two
+    paths are genuinely independent and can be compared.  Each item is one
+    checked generator, none vanishing (no irreducible atoms in genus 0),
+    ready for TautExpr._collect.
     """
     scaled = [(a, b, scalar * c) for (a, b), c in shapes.items()]
     items = [((irr_push(a, b),), q) for a, b, q in scaled] if spec.genus >= 1 else []
     if spec.concrete:
-        for side in _splitting_table(spec).values():
-            items.extend(((Gen(BSEP, (*side, a, b)),), q) for a, b, q in scaled)
+        for h, lab, mult in spec.splitting_classes():
+            items.extend(((Gen(BSEP, (h, lab, a, b)),), q * mult) for a, b, q in scaled)
     else:
         items.extend(((sep_push_sum(a, b),), q) for a, b, q in scaled)
     return items

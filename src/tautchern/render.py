@@ -267,8 +267,8 @@ def render(e: TautExpr, fmt: str = "text") -> str:
     return _render_terms(e, _SPELLINGS[fmt])
 
 
-# JSON generator name -> factory, which sorts a pushforward key; sep_push
-# is built on the spec, which also puts it on its canonical side.
+# JSON generator name -> factory, which sorts a pushforward key; a sep_push
+# atom is checked on the spec and must already be canonical.
 _FACTORIES = {
     KAPPA: kappa,
     KAPPATILDE: kappa_tilde,
@@ -309,7 +309,10 @@ def _gen_from_json(doc, spec: ModuliSpec) -> Gen:
     args = tuple(tuple(a) if type(a) is list else a
                  for a in _expect(doc.get("args", []), list, f"{kind} arguments"))
     check_args(kind, args)
-    return spec.sep_push(*args) if kind == BSEP else _FACTORIES[kind](*args)
+    atom = spec.sep_push(*args) if kind == BSEP else _FACTORIES[kind](*args)
+    if kind == BSEP and Gen(BSEP, args) != atom:  # Gen refuses an unsorted key
+        raise DomainError(f"sep atom side (h={args[0]}, A={args[1]}) is not canonical")
+    return atom
 
 
 def expr_from_json_dict(doc: dict) -> TautExpr:

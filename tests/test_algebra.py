@@ -17,6 +17,7 @@ from tautchern import (
     ModuliSpec,
     TautExpr,
     ch_cotangent,
+    chern_classes,
     default_labels,
     delta_as_atoms,
     delta_class,
@@ -275,16 +276,22 @@ def test_raw_sep_input_is_checked_without_the_splitting_table():
     with pytest.raises(DomainError, match=r"sep atom side \(h=1, A=\('p1',\)\) is not canonical"):
         TautExpr.build(spec, 1, [((Gen("sep_push", (1, ("p1",), 0, 0)),), 1)])
 
-    def parse(h, lab):
+    def parse(h, lab, a=0, b=0):
         doc = render_json_dict(TautExpr.of(spec, 1, spec.sep_push(0, ("p1", "p2"), 0, 0)))
-        doc["terms"][0]["monomial"][0]["args"] = [h, lab, 0, 0]
+        doc["terms"][0]["monomial"][0]["args"] = [h, lab, a, b]
         return expr_from_json(json.dumps(doc))
 
     with pytest.raises(DomainError, match=unstable):
         parse(0, ["p1"])
-    # The parser goes through sep_push, which puts a stable side on its
-    # canonical side instead of refusing it.
-    assert parse(1, ["p1"]) == TautExpr.of(spec, 1, spec.sep_push(0, default_labels(40)[1:], 0, 0))
+    # A stable side or a key that is not canonical is refused, as build
+    # refuses it, not moved to the canonical atom.
+    with pytest.raises(DomainError, match=r"sep atom side \(h=1, A=\('p1',\)\) is not canonical"):
+        parse(1, ["p1"])
+    with pytest.raises(DomainError, match=r"sep atom side \(h=0, A=\('p2', 'p1'\)\) is not canonical"):
+        parse(0, ["p2", "p1"])
+    with pytest.raises(DomainError, match="pushforward key"):
+        parse(0, ["p1", "p2"], 0, 1)
+    assert parse(0, ["p1", "p2"], 1, 0) == TautExpr.of(spec, 1, spec.sep_push(0, ("p1", "p2"), 1, 0))
     assert algebra._splitting_table.cache_info() == before
 
 
@@ -324,17 +331,25 @@ def reference_mul(a: TautExpr, b: TautExpr) -> TautExpr:
 def test_product_builds_no_pair_above_the_cap(monkeypatch):
     """On (0,5) at order 4 the dimension cap is 2: a degree-2 left term
     meets only the degree-0 right terms, and no monomial above the cap
-    is made."""
+    is made.  The kernel forms each pair as tuple(sorted(m1 + m2)) on int
+    monomials, the ints numbering the call's distinct generators in
+    stored order; the pairs are counted at that sort."""
     spec = ModuliSpec(0, default_labels(5), concrete=True)
     a = TautExpr.build(spec, 4, [((), 1), ((kappa(1),), 2), ((kappa(1), delta_class()), 3)])
     b = TautExpr.build(spec, 4, [((), 5), ((marked_psi("p1"),), 7), ((kappa(2),), 1)])
+    table = sorted({g for e in (a, b) for m, _ in e.terms for g in m}, key=Gen.sort_key)
     made = []
-    real = algebra.monomial
-    monkeypatch.setattr(algebra, "monomial", lambda *gens: made.append(gens) or real(*gens))
+
+    def counting_sorted(items, **kw):
+        if not kw and type(items) is tuple and all(type(i) is int for i in items):
+            made.append(items)
+        return sorted(items, **kw)
+
+    monkeypatch.setattr(algebra, "sorted", counting_sorted, raising=False)
     product = a * b
-    assert max(map(monomial_degree, made)) == 2
-    assert len(made) == 3 + 2 + 1
     monkeypatch.undo()
+    assert max(sum(table[i].degree for i in m) for m in made) == 2
+    assert len(made) == 3 + 2 + 1
     assert product == reference_mul(a, b)
 
 
@@ -735,15 +750,79 @@ def test_power_equals_reference_engine(exprs, data):
     assert e ** k == expected
 
 
+def reference_sum_of_products(spec: ModuliSpec, order: int, products) -> TautExpr:
+    """The naive fold: each piece from its collected seed, times one factor
+    at a time through reference_mul, added to a running total."""
+    total = TautExpr.zero(spec, order)
+    for c, mono, factors in products:
+        piece = TautExpr._collect(spec, order, [(mono, c)])
+        for f in factors:
+            piece = reference_mul(piece, f)
+        total = total + piece
+    return total
+
+
+# (expression strategy, generator strategy for seeds): generic (2,1) at
+# order 5, and concrete (0,5) at order 4 with the dimension 2 as cap.
+_KERNEL_CASES = [(_exprs, _gens), (_concrete_exprs, _concrete_gens)]
+
+
+@pytest.mark.parametrize("exprs,gens", _KERNEL_CASES, ids=["generic", "concrete"])
+@given(data=st.data())
+def test_sum_of_products_equals_naive_fold(exprs, gens, data):
+    """Factors are drawn from a pool of four objects, so one object repeats
+    in and across products; the pool has denominators 7 and 11 beside the
+    strategy's 1 to 4; seeds reach degree 9, above either cap; a product
+    may have no factor at all."""
+    a, b = data.draw(exprs), data.draw(exprs)
+    pool = [a, b, a.scale(Fraction(3, 7)), b.scale(Fraction(-5, 11))]
+    spec, order = a.spec, a.order
+    products = data.draw(st.lists(st.tuples(
+        st.fractions(min_value=-3, max_value=3, max_denominator=13),
+        st.lists(gens, max_size=3).map(lambda m: monomial(*m)),
+        st.lists(st.sampled_from(pool), max_size=3)), max_size=4))
+    expected = reference_sum_of_products(spec, order, products)
+    assert algebra.sum_of_products(spec, order, products) == expected
+    assert algebra.sum_of_products(spec, order, iter(products)) == expected
+
+
+@pytest.mark.parametrize("exprs", [_exprs, _concrete_exprs], ids=["generic", "concrete"])
+@given(data=st.data())
+def test_power_equals_naive_fold(exprs, data):
+    e = data.draw(exprs)
+    k = data.draw(st.integers(0, 6))
+    assert e ** k == reference_sum_of_products(e.spec, e.order, [(Fraction(1), (), [e] * k)])
+
+
 def test_lambda_basis_multiplies_only_rewritten_terms(monkeypatch):
     """Only the kappa_1 and degree-1 sep aggregate terms of the (2,1)
-    character have an image; every other term passes through unmultiplied."""
+    character have an image; every other term passes through unmultiplied.
+    Counted at the kernel's product step: one call multiplies one partial
+    piece by one factor."""
     e = ch_cotangent(ModuliSpec(2, ("p1",)), 9)
     calls = []
-    real = TautExpr.__mul__
-    monkeypatch.setattr(TautExpr, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    real = algebra._times
+    monkeypatch.setattr(algebra, "_times", lambda *args: calls.append(1) or real(*args))
     to_lambda_basis(e)
-    assert len(calls) <= 2
+    assert len(calls) == 2
+
+
+def test_expand_concrete_builds_one_image_per_distinct_generator(monkeypatch):
+    """The generic (1,4) c_3 holds four distinct delta and sep aggregate
+    generators in 38 terms; fn runs once for each, so the splitting classes
+    are listed four times, not once per occurrence."""
+    c3 = chern_classes(ModuliSpec(1, default_labels(4)), 3)[1][2]
+    calls = []
+    real = ModuliSpec.splitting_classes
+    monkeypatch.setattr(ModuliSpec, "splitting_classes",
+                        lambda self: calls.append(1) or real(self))
+    expanded = expand_concrete(c3)
+    assert len(c3.terms) == 38
+    assert len(calls) == 4
+    monkeypatch.undo()
+    cspec = replace(c3.spec, concrete=True)
+    assert expanded == reference_map_generators(
+        c3, lambda g: reference_concrete_image(cspec, c3.order, g), cspec, c3.order)
 
 
 @pytest.mark.parametrize("call", [

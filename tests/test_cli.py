@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -91,6 +92,16 @@ def test_chern_json_document(capsys):
     assert doc["rank"] == 4 and doc["jmax"] == 2
     assert len(doc["classes"]) == 2
     assert doc["classes"][0]["degree"] == 2
+
+
+def test_chern_json_jmax_nine_golden(capsys):
+    """Generic (2,1) up to c_9: numerators and denominators larger than any
+    the benchmark pools reach, pinned by the sha256 of the whole stdout."""
+    code, out, err = run(capsys, "chern", "--g", "2", "--n", "1", "--jmax", "9",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fc357aa70892263b32bfc20a8766bf39ab41fd8ace7488cc6973d07c57ef8b07")
 
 
 def test_bernoulli_golden(capsys):

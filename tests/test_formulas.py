@@ -12,6 +12,7 @@ from conftest import line_bundle_character, random_graded_character
 from oracles import FIVE_SPECS
 from tautchern import (
     DomainError,
+    Gen,
     ModuliSpec,
     TautExpr,
     alternating_sym,
@@ -444,3 +445,24 @@ def test_warm_concrete_producers_check_no_splitting(monkeypatch):
     delta_as_atoms(spec, 1)
     expand_concrete(ch_cotangent(ModuliSpec(1, default_labels(4)), 4))
     assert calls == []
+
+
+def test_concrete_boundary_makes_one_atom_per_divisor(monkeypatch):
+    """A two-sided divisor's atom is made once, weighted by its two ordered
+    splittings, not once from each side: on warm concrete (1,4), which has
+    no self-mirror divisor, ch_cotangent makes half as many sep atoms as
+    there are ordered splittings times boundary shapes."""
+    spec = ModuliSpec(1, default_labels(4), concrete=True)
+    spec.ordered_splittings()
+    made = []
+    real = Gen.__post_init__
+    monkeypatch.setattr(Gen, "__post_init__", lambda g: made.append(g.kind) or real(g))
+    e = ch_cotangent(spec, 4)
+    monkeypatch.undo()
+    shapes = sum(len(boundary_argument(d)) for d in range(1, 5))
+    classes = spec.splitting_classes()
+    assert all(mult == 2 for _, _, mult in classes)
+    assert made.count("sep_push") == len(classes) * shapes
+    assert 2 * made.count("sep_push") == len(spec.ordered_splittings()) * shapes
+    assert e == reference_ch_cotangent(spec, 4)
+
