@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -485,9 +486,12 @@ class TautExpr:
         return sorted({monomial_degree(m) for m, _ in self.terms})
 
     def component(self, d: int) -> "TautExpr":
-        return TautExpr._collect(self.spec, self.order,
-                                 [(m, c) for m, c in self.terms
-                                  if monomial_degree(m) == d])
+        """The degree-d part: a slice, since the terms are in degree order."""
+        if type(d) is not int:
+            raise DomainError(f"component degree must be an int, got {d!r}")
+        terms, degree = self.terms, lambda t: monomial_degree(t[0])
+        lo = bisect_left(terms, d, key=degree)
+        return TautExpr(self.spec, self.order, terms[lo:bisect_right(terms, d, lo, key=degree)])
 
     def coefficient(self, gens: Gen | Iterable[Gen]) -> Fraction:
         if isinstance(gens, Gen):

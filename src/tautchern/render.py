@@ -12,6 +12,10 @@ formulas are written by hand:
 Pushforward atoms print with their symmetric psi-polynomial argument
 reconstructed from the key: q-variables at the irreducible node,
 r-variables at a separating node.
+
+Each render call keeps one table (_Spelled) that spells each distinct
+generator once, as text, LaTeX or JSON; all three writers read it.  A
+degree printed on its own is TautExpr.component, a slice found by bisection.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from itertools import groupby
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable
 
@@ -48,7 +53,7 @@ from .algebra import (
     sep_push_sum,
     delta_class,
 )
-from .rationals import DomainError, format_rational
+from .rationals import DomainError
 
 FORMATS = ("text", "latex", "json")
 
@@ -73,18 +78,16 @@ class Spelling:
     # Product inside a pushforward argument, and between monomial factors.
     arg_times: str
     times: str
-    # Coefficient magnitude -> (number, separator before the monomial).
-    coeff: Callable[[Fraction], tuple[str, str]]
+    # Coefficient magnitude (num, den) -> (number, separator before the monomial).
+    coeff: Callable[[int, int], tuple[str, str]]
 
 
-def _text_coeff(q: Fraction) -> tuple[str, str]:
-    return format_rational(q), "*" if q.denominator == 1 else " "
+def _text_coeff(num: int, den: int) -> tuple[str, str]:
+    return (str(num), "*") if den == 1 else (f"{num}/{den}", " ")
 
 
-def _latex_coeff(q: Fraction) -> tuple[str, str]:
-    if q.denominator == 1:
-        return str(q.numerator), "\\,"
-    return f"\\tfrac{{{q.numerator}}}{{{q.denominator}}}", "\\,"
+def _latex_coeff(num: int, den: int) -> tuple[str, str]:
+    return (str(num) if den == 1 else f"\\tfrac{{{num}}}{{{den}}}"), "\\,"
 
 
 TEXT = Spelling(
@@ -165,32 +168,40 @@ def _gen(g: Gen, s: Spelling) -> str:
     return s.gens[kind].format(*args)
 
 
-def _grouped(mono: tuple[Gen, ...]) -> list[tuple[Gen, int]]:
-    """Collapse a sorted monomial into (generator, exponent) runs."""
-    out: list[tuple[Gen, int]] = []
-    for g in sorted(mono, key=Gen.display_key):
-        if out and out[-1][0] == g:
-            out[-1] = (g, out[-1][1] + 1)
-        else:
-            out.append((g, 1))
-    return out
+class _Spelled(dict):
+    """One render call's table: generator -> (display key, its spelling by
+    spell), spelled on the first lookup.  Equal generators get the same
+    entry object, so sorting and grouping entries never compares a Gen."""
+
+    def __init__(self, spell: Callable[[Gen], str]):
+        super().__init__()
+        self.spell = spell
+
+    def __missing__(self, g: Gen) -> tuple[tuple, str]:
+        entry = self[g] = (g.display_key(), self.spell(g))
+        return entry
+
+    def display(self, mono: tuple[Gen, ...]) -> list[tuple[tuple, str]]:
+        """The entries of a monomial's generators, in display order."""
+        return sorted(map(self.__getitem__, mono))
 
 
 def _render_terms(e: TautExpr, s: Spelling) -> str:
     if not e.terms:
         return "0"
+    table = _Spelled(partial(_gen, s=s))
     pieces = []
     for mono, coeff in e.terms:
-        mag = abs(coeff)
+        num, den = coeff.numerator, coeff.denominator
         mono_str = s.times.join(
-            _gen(g, s) if p == 1 else s.power.format(_gen(g, s), p)
-            for g, p in _grouped(mono))
-        if mag == 1 and mono:
+            text if (k := len(list(run))) == 1 else s.power.format(text, k)
+            for (_, text), run in groupby(table.display(mono)))
+        if abs(num) == 1 and den == 1 and mono:
             body = mono_str
         else:
-            number, sep = s.coeff(mag)
+            number, sep = s.coeff(abs(num), den)
             body = number + sep + mono_str if mono else number
-        pieces.append((" - " if coeff < 0 else " + ") + body)
+        pieces.append((" - " if num < 0 else " + ") + body)
     # The leading term carries a bare minus sign and no plus sign.
     lead = pieces[0]
     pieces[0] = ("-" if lead[1] == "-" else "") + lead[3:]
@@ -226,23 +237,17 @@ def _json_text(e: TautExpr) -> str:
     """The expression's JSON document, byte for byte what json.dumps(doc,
     indent=2) gives for it.  This is the only definition of the schema.
 
-    Terms sit at level 2 of the document and their generators at level 4,
-    so each distinct generator is encoded once and its text reused.
+    Terms sit at level 2 of the document and their generators at level 4;
+    a coefficient is a string of digits, a sign and a slash, so it needs no
+    escaping.
     """
-    encoded: dict[Gen, tuple] = {}
-
-    def entry(g: Gen) -> tuple:
-        if g not in encoded:
-            encoded[g] = (g.display_key(),
-                          _json_value({"gen": g.kind, "args": g.args}, 4))
-        return encoded[g]
-
+    table = _Spelled(lambda g: _json_value({"gen": g.kind, "args": g.args}, 4))
     terms = []
     for mono, c in e.terms:
-        gens = ",\n        ".join(text for _, text in sorted(map(entry, mono)))
+        gens = ",\n        ".join(text for _, text in table.display(mono))
         monomial = f"[\n        {gens}\n      ]" if mono else "[]"
-        terms.append(f'{{\n      "coeff": {_json_str(format_rational(c))},'
-                     f'\n      "monomial": {monomial}\n    }}')
+        coeff, _ = _text_coeff(c.numerator, c.denominator)
+        terms.append(f'{{\n      "coeff": "{coeff}",\n      "monomial": {monomial}\n    }}')
     spec = e.spec
     return _json_value({
         "g": spec.genus,

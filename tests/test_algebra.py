@@ -16,8 +16,10 @@ from tautchern import (
     Gen,
     ModuliSpec,
     TautExpr,
+    ch_bundle,
     ch_cotangent,
     chern_classes,
+    chern_exp_oracle,
     default_labels,
     delta_as_atoms,
     delta_class,
@@ -457,6 +459,22 @@ def test_component_and_degrees():
     assert e.component(4).is_zero()
 
 
+@pytest.mark.parametrize("d", [1.0, "1", True, False, None, Fraction(1)])
+def test_component_rejects_a_degree_that_is_not_an_int(d):
+    e = TautExpr.of(SPEC21, 3, kappa(1)) + TautExpr.one(SPEC21, 3)
+    with pytest.raises(DomainError, match="component degree"):
+        e.component(d)
+    with pytest.raises(DomainError, match="component degree"):
+        ch_bundle(SPEC21, 2).component(d)
+
+
+def test_component_outside_the_order_is_zero():
+    e = TautExpr.of(SPEC21, 3, kappa(1)) + TautExpr.one(SPEC21, 3).scale(2)
+    for d in (-5, -1, 4, 100):
+        assert e.component(d) == TautExpr.zero(SPEC21, 3)
+    assert e.component(0) == TautExpr.one(SPEC21, 3).scale(2)
+
+
 # ---------------------------------------------------------------- substitution
 
 def test_substitute_degree_one_relation_round_trips():
@@ -645,6 +663,31 @@ def test_grading_splits_into_components(e):
     for d in range(ORDER + 1):
         total = total + e.component(d)
     assert total == e
+
+
+def reference_component(e: TautExpr, d: int) -> TautExpr:
+    """The degree-d part, found by filtering every term and merging again."""
+    return TautExpr._collect(e.spec, e.order,
+                             [(m, c) for m, c in e.terms if monomial_degree(m) == d])
+
+
+@pytest.mark.parametrize("exprs", [_exprs, _concrete_exprs], ids=["generic", "concrete"])
+@given(data=st.data())
+def test_component_equals_filter_reference(exprs, data):
+    e = data.draw(exprs)
+    for d in range(-1, e.order + 2):
+        assert e.component(d) == reference_component(e, d)
+
+
+@pytest.mark.parametrize("spec", [SPEC21, ModuliSpec(1, default_labels(3), concrete=True)],
+                         ids=["generic-2-1", "concrete-1-3"])
+def test_components_and_oracle_match_filter_reference(monkeypatch, spec):
+    result = ch_bundle(spec, 4)
+    components = result.components()
+    classes = chern_exp_oracle(components, 4)
+    monkeypatch.setattr(TautExpr, "component", reference_component)
+    assert result.components() == components
+    assert chern_exp_oracle(result.components(), 4) == classes
 
 
 @given(_exprs, _exprs)

@@ -15,6 +15,7 @@ from tautchern import (
     ModuliSpec,
     TautExpr,
     canonical_class,
+    ch_bundle,
     ch_cotangent,
     chern_classes,
     default_labels,
@@ -33,6 +34,7 @@ from tautchern import (
 )
 from tautchern.cli import main
 from tautchern.rationals import format_rational
+from tautchern.render import LATEX, TEXT, _gen
 
 SPEC21 = ModuliSpec(2, default_labels(1))
 
@@ -392,3 +394,110 @@ def test_rendering_is_deterministic_across_term_order():
     b = TautExpr.build(SPEC21, 2, list(reversed(items)))
     for fmt in ("text", "latex", "json"):
         assert render(a, fmt) == render(b, fmt)
+
+
+# ----------------------------------------- all three writers against the reference
+
+def reference_grouped(mono: tuple[Gen, ...]) -> list[tuple[Gen, int]]:
+    """Collapse a monomial, sorted into display order, into (generator,
+    exponent) runs by comparing generators."""
+    out: list[tuple[Gen, int]] = []
+    for g in sorted(mono, key=Gen.display_key):
+        if out and out[-1][0] == g:
+            out[-1] = (g, out[-1][1] + 1)
+        else:
+            out.append((g, 1))
+    return out
+
+
+def _reference_coeff(q: Fraction, fmt: str) -> tuple[str, str]:
+    if fmt == "text":
+        return format_rational(q), "*" if q.denominator == 1 else " "
+    if q.denominator == 1:
+        return str(q.numerator), "\\,"
+    return f"\\tfrac{{{q.numerator}}}{{{q.denominator}}}", "\\,"
+
+
+def reference_render(e: TautExpr, fmt: str) -> str:
+    """The text and LaTeX writer without a spelling table: every generator
+    occurrence spelled again, every monomial grouped by reference_grouped,
+    and each coefficient spelled from its Fraction magnitude."""
+    s = {"text": TEXT, "latex": LATEX}[fmt]
+    if not e.terms:
+        return "0"
+    pieces = []
+    for mono, coeff in e.terms:
+        mag = abs(coeff)
+        mono_str = s.times.join(
+            _gen(g, s) if p == 1 else s.power.format(_gen(g, s), p)
+            for g, p in reference_grouped(mono))
+        if mag == 1 and mono:
+            body = mono_str
+        else:
+            number, sep = _reference_coeff(mag, fmt)
+            body = number + sep + mono_str if mono else number
+        pieces.append((" - " if coeff < 0 else " + ") + body)
+    lead = pieces[0]
+    pieces[0] = ("-" if lead[1] == "-" else "") + lead[3:]
+    return "".join(pieces)
+
+
+def assert_all_writers_match_reference(e: TautExpr) -> None:
+    for fmt in ("text", "latex"):
+        assert render(e, fmt) == reference_render(e, fmt)
+    assert_writer_matches_reference(e)
+
+
+CONCRETE13 = ModuliSpec(1, default_labels(3), concrete=True)
+RENDER_SPECS = [SPEC21, CONCRETE13]
+
+
+@pytest.mark.parametrize("spec, items", [
+    pytest.param(SPEC21, [], id="zero"),
+    pytest.param(SPEC21, [((), 5), ((kappa(1),), -1)], id="constant-and-minus-one"),
+    pytest.param(SPEC21, [((kappa(1), kappa(1), delta_class(), delta_class(), delta_class()),
+                           Fraction(-3, 7))], id="powers"),
+    pytest.param(SPEC21, [((psi_power_sum(1), hodge_component(1), hodge_component(1)), 1),
+                          ((psi_power_sum(2), hodge_component(3)), Fraction(1, 12))],
+                 id="hodge-before-psi-sum"),
+    pytest.param(CONCRETE13, [((marked_psi("p2"), hodge_component(1), marked_psi("p1")), -1),
+                              ((marked_psi("p3"), marked_psi("p3"), hodge_component(1)), 2),
+                              ((), Fraction(-1, 2))],
+                 id="hodge-before-marked-psi"),
+    pytest.param(CONCRETE13, [((CONCRETE13.sep_push(0, ("p1", "p2"), 0, 0),) * 2, Fraction(5, 3)),
+                              ((irr_push(1, 0), delta_class()), -4)],
+                 id="concrete-pushforwards"),
+])
+def test_writers_match_reference_on_chosen_expressions(spec, items):
+    assert_all_writers_match_reference(TautExpr.build(spec, 8, items))
+
+
+_render_coeffs = st.one_of(st.sampled_from([1, -1, 2, -2, Fraction(1, 3), Fraction(-5, 12)]),
+                           st.fractions(max_denominator=12))
+
+
+@st.composite
+def render_expressions(draw) -> TautExpr:
+    """Expressions on generic (2,1) or concrete (1,3) with up to four
+    generators a term, drawn with repeats, so powers and lambda before a
+    psi sum or a marked psi show up."""
+    spec = draw(st.sampled_from(RENDER_SPECS))
+    pool = _generator_pool(spec) + [psi_power_sum(1), hodge_component(1)]
+    monomials = st.lists(st.sampled_from(pool), max_size=4)
+    return TautExpr.build(spec, 8, draw(st.lists(st.tuples(monomials, _render_coeffs),
+                                                 max_size=6)))
+
+
+@given(render_expressions())
+def test_writers_match_reference_on_generated_expressions(e):
+    assert_all_writers_match_reference(e)
+
+
+@pytest.mark.parametrize("classes", [
+    pytest.param(lambda: chern_classes(SPEC21, 4)[1], id="chern-2-1"),
+    pytest.param(lambda: ch_bundle(CONCRETE13, 3, "tangent").components().values(),
+                 id="ch-tangent-concrete-1-3"),
+])
+def test_writers_match_reference_on_computed_classes(classes):
+    for e in classes():
+        assert_all_writers_match_reference(e)
