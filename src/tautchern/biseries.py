@@ -44,20 +44,23 @@ class BiSeries:
     def build(order: int, data: Mapping[tuple[int, int], Fraction | int],
               cross_zero: bool = False) -> "BiSeries":
         """Canonical series from exact (int or Fraction) coefficients;
-        terms above the order, and mixed terms under cross_zero, are
-        dropped."""
+        zero terms, terms above the order, and mixed terms under
+        cross_zero, are dropped.  A mapping's keys are unique, so the kept
+        terms are only sorted, never summed."""
         if type(order) is not int or order < 0:
             raise DomainError(f"series order must be an int >= 0, got {order!r}")
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in data.items():
+        kept = []
+        for key, c in data.items():
+            if not isinstance(key, tuple) or len(key) != 2:
+                raise DomainError(f"exponent pair must be a tuple of two ints, got {key!r}")
+            i, j = key
             if type(i) is not int or type(j) is not int or i < 0 or j < 0:
                 raise DomainError(f"exponent pair must be two ints >= 0, got ({i!r},{j!r})")
             q = _exact(c)
-            if i + j > order or cross_zero and i >= 1 and j >= 1 or q == 0:
-                continue
-            acc[(i, j)] = acc.get((i, j), Fraction(0)) + q
-        coeffs = tuple(sorted((k, v) for k, v in acc.items() if v != 0))
-        return BiSeries(order, cross_zero, coeffs)
+            if q and i + j <= order and not (cross_zero and i >= 1 and j >= 1):
+                kept.append(((i, j), q))
+        kept.sort()
+        return BiSeries(order, cross_zero, tuple(kept))
 
     @staticmethod
     def zero(order: int, cross_zero: bool = False) -> "BiSeries":
@@ -131,52 +134,49 @@ class BiSeries:
 
         With a = A/D on integer numerators and c0 = A00/D, the coefficients
         found so far are kept as integer numerators N over their common
-        denominator E, so b_ij = -sum A_kl * N_(i-k,j-l) / (E * A00) over
-        (k,l) != (0,0) is one division.  After each degree E becomes the
-        lcm with the new denominators and the stored numerators are scaled
-        up to it.
+        denominator E, and b_ij = -S_ij / (E * A00) with S_ij the sum of
+        A_kl * N_(i-k,j-l) over (k,l) != (0,0).  The sums are pushed, not
+        pulled: once b_pq is found, A_kl * N_pq is added to the pending sum
+        at (p+k, q+l) for every term of a within the order, so a degree's
+        sums are complete when it is reached and only nonzero pairs are
+        visited.  After each degree E becomes the lcm with the new
+        denominators and the pending sums are scaled up to it.
         """
+        order, cross_zero = self.order, self.cross_zero
         den, nums = _numerators(self.coeffs)
-        a = dict(nums)
-        a00 = a.pop((0, 0), 0)
+        a00 = dict(nums).get((0, 0), 0)
         if a00 == 0:
             raise DomainError("cannot invert a series with zero constant term")
+        rest = sorted((k + l, k, l, n) for (k, l), n in nums if k or l)
+        pending: list[dict[tuple[int, int], int]] = [{} for _ in range(order + 1)]
+
+        def push(p, q, n):
+            for t, k, l, m in rest:
+                if p + q + t > order:
+                    break
+                i, j = p + k, q + l
+                if cross_zero and i >= 1 and j >= 1:
+                    continue
+                sums = pending[i + j]
+                sums[(i, j)] = sums.get((i, j), 0) + m * n
+
         first = Fraction(den, a00)
         e = first.denominator
-        numer = {(0, 0): first.numerator}
         out = [((0, 0), first)]
-        for t in range(1, self.order + 1):
-            new = []
-            for i in range(t + 1):
-                j = t - i
-                if self.cross_zero and i >= 1 and j >= 1:
-                    continue
-                s = 0
-                for (k, l), n in a.items():
-                    if k <= i and l <= j:
-                        s += n * numer.get((i - k, j - l), 0)
-                if s:
-                    new.append(((i, j), Fraction(-s, e * a00)))
+        push(0, 0, first.numerator)
+        for t in range(1, order + 1):
+            new = [(key, Fraction(-s, e * a00)) for key, s in pending[t].items() if s]
             grown = lcm(e, *(c.denominator for _, c in new))
             if grown != e:
-                for key in numer:
-                    numer[key] *= grown // e
+                f = grown // e
+                for sums in pending[t + 1:]:
+                    for key in sums:
+                        sums[key] *= f
                 e = grown
-            for key, c in new:
-                numer[key] = c.numerator * (e // c.denominator)
+            for (p, q), c in new:
+                push(p, q, c.numerator * (e // c.denominator))
             out.extend(new)
-        return BiSeries(self.order, self.cross_zero, tuple(sorted(out)))
-
-    def exp(self) -> "BiSeries":
-        """Exponential of a series with zero constant term."""
-        if self.coeff(0, 0) != 0:
-            raise DomainError("exp needs a series with zero constant term")
-        total = BiSeries.one(self.order, self.cross_zero)
-        power = BiSeries.one(self.order, self.cross_zero)
-        for k in range(1, self.order + 1):
-            power = (power * self).scale(Fraction(1, k))
-            total = total + power
-        return total
+        return BiSeries(order, cross_zero, tuple(sorted(out)))
 
 
 def _numerators(coeffs) -> tuple[int, list[tuple[tuple[int, int], int]]]:
@@ -222,18 +222,25 @@ def todd_dual_inverse_pair(order: int) -> BiSeries:
     (1-e^(-s))/s at s = D1+D2, times D1/(1-e^(-D1)), times
     D2/(1-e^(-D2)).
     """
-    def unit_todd(index: int) -> BiSeries:
-        return _univariate(order, index, _one_minus_exp_neg_over_t).inverse()
+    return _times_unit_todds(node_correction_series(order))
 
-    return node_correction_series(order) * unit_todd(1) * unit_todd(2)
+
+def _times_unit_todds(theta: BiSeries) -> BiSeries:
+    """theta * D1/(1-e^(-D1)) * D2/(1-e^(-D2)), at theta's order."""
+    def unit_todd(index: int) -> BiSeries:
+        return _univariate(theta.order, index, _one_minus_exp_neg_over_t).inverse()
+
+    return theta * unit_todd(1) * unit_todd(2)
 
 
 def node_correction_series(order: int) -> BiSeries:
     """sum_(j>=1) (-1)^(j-1) (D1+D2)^(j-1) / j!, which is (1-e^(-s))/s at
-    s = D1+D2, expanded binomially."""
-    return BiSeries.build(order, {
-        (i, k - i): _one_minus_exp_neg_over_t(k) * comb(k, i)
-        for k in range(order + 1) for i in range(k + 1)})
+    s = D1+D2, expanded binomially: (-1)^k C(k,i) / (k+1)! on D1^i D2^(k-i)."""
+    if type(order) is not int or order < 0:
+        raise DomainError(f"series order must be an int >= 0, got {order!r}")
+    return BiSeries(order, False, tuple(
+        ((i, j), Fraction((-1) ** (i + j) * comb(i + j, i), factorial(i + j + 1)))
+        for i in range(order + 1) for j in range(order + 1 - i)))
 
 
 def check_node_correction(order: int, inject_fault: bool = False) -> bool:
@@ -241,12 +248,13 @@ def check_node_correction(order: int, inject_fault: bool = False) -> bool:
     D1*D2 times the node correction series, up to the given order?
 
     inject_fault flips one sign in the correction series; the check must
-    then fail, which guards the harness against vacuity.
+    then fail, which guards the harness against vacuity.  The one series
+    theta serves both sides, and only the right side's copy is flipped.
     """
     if order < 4:
         raise DomainError(f"the node correction check needs order >= 4, got {order}")
-    lhs = structure_sheaf_pair_ch(order) * todd_dual_inverse_pair(order)
     theta = node_correction_series(order)
+    lhs = structure_sheaf_pair_ch(order) * _times_unit_todds(theta)
     if inject_fault:
         data = theta.as_dict()
         data[(1, 0)] = -data[(1, 0)]

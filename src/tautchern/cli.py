@@ -145,11 +145,11 @@ def _verify_checks(order: int, inject_fault: bool):
     gating.append((
         f"marked point product matches the plus-tail closed form (order {order})",
         product == marked_point_reference(order, tail_sign=1)))
-    ref = marked_point_reference(max(order, 12), tail_sign=-1)
+    minus = marked_point_reference(max(order, 12), tail_sign=-1)
     gating.append((
         "minus-tail closed form coefficients equal the main expansion "
         "kappa coefficients (m <= 12)",
-        all(ref.coeff(0, m) == kappa_coefficient(m - 1)
+        all(minus.coeff(0, m) == kappa_coefficient(m - 1)
             for m in range(3, max(order, 12) + 1))))
 
     class_ok = True
@@ -179,7 +179,7 @@ def _verify_checks(order: int, inject_fault: bool):
     informational = (
         "marked point product vs the minus-tail closed form "
         f"(order {order})",
-        product == marked_point_reference(order, tail_sign=-1))
+        product == (minus if order >= 12 else marked_point_reference(order, tail_sign=-1)))
     return gating, informational
 
 

@@ -31,6 +31,7 @@ from .algebra import (
     Gen,
     ModuliSpec,
     TautExpr,
+    _check_compatible,
     delta_as_atoms,
     delta_class,
     hodge_component,
@@ -267,8 +268,9 @@ def chern_exp_oracle(ch: Mapping[int, TautExpr], jmax: int) -> list[TautExpr]:
     """Independent route: graded exponential of the Newton transform.
 
     The total Chern class is exp of sum_r (-1)^(r-1) (r-1)! ch_r; the
-    degree-j component of the exponential is c_j.  Shares no code with
-    the partition route.
+    degree-j component of the exponential is c_j.  The log term is one
+    merge, and the truncated sum of its powers over k! is one kernel call.
+    Shares no mathematics with the partition route, only the kernel.
     """
     if jmax < 0:
         raise DomainError(f"class count must be >= 0, got {jmax}")
@@ -279,14 +281,14 @@ def chern_exp_oracle(ch: Mapping[int, TautExpr], jmax: int) -> list[TautExpr]:
         raise DomainError(f"missing Chern character components {missing}")
     probe = ch[1]
     spec, order = probe.spec, probe.order
-    log_term = TautExpr.zero(spec, order)
+    items = []
     for r in range(1, jmax + 1):
-        log_term = log_term + ch[r].scale(Fraction((-1) ** (r - 1) * factorial(r - 1)))
-    total = TautExpr.one(spec, order)
-    power = TautExpr.one(spec, order)
-    for k in range(1, jmax + 1):
-        power = (power * log_term).scale(Fraction(1, k))
-        total = total + power
+        _check_compatible(spec, order, ch[r])
+        scalar = (-1) ** (r - 1) * factorial(r - 1)
+        items.extend((m, c * scalar) for m, c in ch[r].terms)
+    log_term = TautExpr._collect(spec, order, items)
+    total = sum_of_products(spec, order, [(Fraction(1, factorial(k)), (), [log_term] * k)
+                                          for k in range(jmax + 1)])
     return [total.component(j) for j in range(1, jmax + 1)]
 
 

@@ -2,7 +2,8 @@
 
 Nothing here calls into the package's own arithmetic.  Bernoulli numbers
 are solved from the defining series product with plain list arithmetic,
-correction constants come from an explicit polynomial product, partition
+correction constants come from an explicit polynomial product, the
+exponential of a bivariate series from plain dict products, partition
 counts from the classic DP table, boundary divisors from brute force
 over all (h, subset) pairs, and binomial expansions from literal
 enumeration of the 2^k factor choices.  When a package value and an
@@ -56,6 +57,33 @@ def correction_table(mmax: int, with_constant_term: bool = False) -> dict[int, F
         table[m] = sum((left[i] * right[m - i] for i in range(m + 1)),
                        Fraction(0))
     return table
+
+
+def series_exp(order: int, coeffs: dict[tuple[int, int], Fraction],
+               cross_zero: bool = False) -> dict[tuple[int, int], Fraction]:
+    """exp(s) = sum_k s^k / k! for a truncated bivariate series s with zero
+    constant term, given and returned as {(i, j): coefficient} with the
+    zero coefficients left out.  Each power is formed by a plain double
+    loop over the terms, truncated at the order; under cross_zero the
+    mixed monomials (i >= 1 and j >= 1) are dropped, as in the quotient
+    by D1*D2 = 0.
+    """
+    if coeffs.get((0, 0), 0) != 0:
+        raise ValueError("exp needs a series with zero constant term")
+    total = {(0, 0): Fraction(1)}
+    power = {(0, 0): Fraction(1)}
+    for k in range(1, order + 1):
+        nxt: dict[tuple[int, int], Fraction] = {}
+        for (i1, j1), c1 in power.items():
+            for (i2, j2), c2 in coeffs.items():
+                i, j = i1 + i2, j1 + j2
+                if i + j > order or cross_zero and i >= 1 and j >= 1:
+                    continue
+                nxt[(i, j)] = nxt.get((i, j), Fraction(0)) + c1 * c2 / k
+        power = nxt
+        for key, c in power.items():
+            total[key] = total.get(key, Fraction(0)) + c
+    return {key: c for key, c in total.items() if c}
 
 
 def partition_count(n: int) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -688,6 +689,56 @@ def test_components_and_oracle_match_filter_reference(monkeypatch, spec):
     monkeypatch.setattr(TautExpr, "component", reference_component)
     assert result.components() == components
     assert chern_exp_oracle(result.components(), 4) == classes
+
+
+def reference_exp_oracle(ch, jmax: int) -> list[TautExpr]:
+    """The power loop of the exponential oracle: the log term summed with
+    + and scale, then power = (power * log_term) / k added into the total
+    for k = 1..jmax, one product at a time."""
+    spec, order = ch[1].spec, ch[1].order
+    log_term = TautExpr.zero(spec, order)
+    for r in range(1, jmax + 1):
+        log_term = log_term + ch[r].scale(Fraction((-1) ** (r - 1) * factorial(r - 1)))
+    total = TautExpr.one(spec, order)
+    power = TautExpr.one(spec, order)
+    for k in range(1, jmax + 1):
+        power = (power * log_term).scale(Fraction(1, k))
+        total = total + power
+    return [total.component(j) for j in range(1, jmax + 1)]
+
+
+@pytest.mark.parametrize("exprs", [_exprs, _concrete_exprs], ids=["generic", "concrete"])
+@given(data=st.data())
+def test_exp_oracle_equals_power_loop(exprs, data):
+    """Each component is a whole drawn expression, so it is inhomogeneous
+    and may have a constant term; on concrete (0,5) the dimension 2 caps
+    every power below the order 4.  jmax runs from 0 to 6."""
+    jmax = data.draw(st.integers(0, 6))
+    ch = {r: data.draw(exprs) for r in range(1, max(jmax, 1) + 1)}
+    assert chern_exp_oracle(ch, jmax) == reference_exp_oracle(ch, jmax)
+
+
+@pytest.mark.parametrize("spec,order", [(SPEC21, ORDER), (SPEC05C, 4)],
+                         ids=["generic", "concrete"])
+def test_exp_oracle_with_a_constant_term(spec, order):
+    """A constant in the log term enters every power: with log term 3 + x
+    and jmax 2 the total is 1 + (3 + x) + (3 + x)^2 / 2, so c_1 = 4x and
+    c_2 = x^2 / 2, with the degree-0 part never reported."""
+    one = TautExpr.one(spec, order)
+    x = TautExpr.of(spec, order, kappa(1))
+    ch = {1: one.scale(3) + x, 2: one.scale(Fraction(-1, 2)) + x * x, 3: x * x * x}
+    for jmax in range(4):
+        assert chern_exp_oracle(ch, jmax) == reference_exp_oracle(ch, jmax)
+    ch = {1: one.scale(3) + x, 2: TautExpr.zero(spec, order)}
+    assert chern_exp_oracle(ch, 2) == [x.scale(4), (x * x).scale(Fraction(1, 2))]
+
+
+def test_exp_oracle_rejects_components_on_another_spec_or_order():
+    ch = ch_bundle(SPEC21, 3).components()
+    for other in (ch_bundle(SPEC21, 4).component(2),
+                  ch_bundle(ModuliSpec(1, default_labels(2)), 3).component(2)):
+        with pytest.raises(DomainError):
+            chern_exp_oracle({**ch, 2: other}, 3)
 
 
 @given(_exprs, _exprs)

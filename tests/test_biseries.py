@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import bernoulli_list
+from oracles import bernoulli_list, series_exp
 from tautchern import (
     BiSeries,
     DomainError,
@@ -37,6 +37,10 @@ def test_build_truncates_and_drops():
     assert s.as_dict() == {(0, 0): Fraction(1)}
     q = BiSeries.build(3, {(1, 1): 5, (2, 0): 1}, cross_zero=True)
     assert q.as_dict() == {(2, 0): Fraction(1)}
+    r = BiSeries.build(4, {(2, 1): Fraction(-3, 8), (0, 0): 5, (0, 3): Fraction(7, 9)})
+    assert r.coeffs == (((0, 0), Fraction(5)), ((0, 3), Fraction(7, 9)),
+                        ((2, 1), Fraction(-3, 8)))
+    assert all(type(c) is Fraction for _, c in r.coeffs)
 
 
 def test_build_validates():
@@ -53,6 +57,14 @@ def test_build_validates():
     for order in (4.5, True, "4"):
         with pytest.raises(DomainError):
             BiSeries.build(order, {(0, 0): 1})
+
+
+@pytest.mark.parametrize("key", [frozenset((0, 1)), range(1, 3), (1, 0, 0), "10", 1])
+def test_build_takes_only_tuple_keys(key):
+    """A key that is not a pair of ints is refused, even when it unpacks
+    to two ints: two such keys could name one exponent pair."""
+    with pytest.raises(DomainError):
+        BiSeries.build(4, {key: 1})
 
 
 def test_scale_takes_only_exact_factors():
@@ -72,11 +84,28 @@ def test_variable_and_coeff():
 
 
 def test_exp_pinned():
-    e = BiSeries.variable(2, 1).exp()
-    assert e.as_dict() == {(0, 0): Fraction(1), (1, 0): Fraction(1),
-                          (2, 0): Fraction(1, 2)}
-    with pytest.raises(DomainError):
-        BiSeries.one(2).exp()
+    e = series_exp(2, BiSeries.variable(2, 1).as_dict())
+    assert e == {(0, 0): Fraction(1), (1, 0): Fraction(1), (2, 0): Fraction(1, 2)}
+    with pytest.raises(ValueError):
+        series_exp(2, BiSeries.one(2).as_dict())
+
+
+@pytest.mark.parametrize("cross_zero", [False, True])
+def test_exp_of_the_variables(cross_zero):
+    """exp(D1 + D2) is sum D1^i D2^j / (i! j!), or its unmixed terms in
+    the quotient ring; exp(D1) exp(D2) gives the same through the
+    package's product."""
+    order = 7
+    d1 = BiSeries.variable(order, 1, cross_zero)
+    d2 = BiSeries.variable(order, 2, cross_zero)
+    want = BiSeries.build(order, {(i, j): Fraction(1, factorial(i) * factorial(j))
+                                  for i in range(order + 1) for j in range(order + 1)},
+                          cross_zero)
+    assert BiSeries.build(order, series_exp(order, (d1 + d2).as_dict(), cross_zero),
+                          cross_zero) == want
+    e1, e2 = (BiSeries.build(order, series_exp(order, d.as_dict(), cross_zero), cross_zero)
+              for d in (d1, d2))
+    assert e1 * e2 == want
 
 
 def test_inverse_needs_unit():
@@ -124,6 +153,13 @@ def test_node_correction_series_pinned():
     assert theta.coeff(2, 0) == Fraction(1, 6)
     assert theta.coeff(1, 1) == Fraction(1, 3)
     assert theta.coeff(0, 2) == Fraction(1, 6)
+    # The binomial expansion of (1 - e^(-s))/s, term by term through build.
+    want = BiSeries.build(12, {(i, k - i): Fraction((-1) ** k, factorial(k + 1)) * comb(k, i)
+                               for k in range(13) for i in range(k + 1)})
+    assert node_correction_series(12) == want
+    for order in (-1, 4.5, True):
+        with pytest.raises(DomainError):
+            node_correction_series(order)
 
 
 @pytest.mark.parametrize("order", range(4, 13))
@@ -330,6 +366,64 @@ def test_unit_todd_inverse_equals_reference():
     u = BiSeries.build(24, {(k, 0): Fraction((-1) ** k, factorial(k + 1))
                             for k in range(25)})
     assert u.inverse() == reference_inverse(u)
+
+
+def _todd_unit(order: int, index: int, fn) -> BiSeries:
+    return BiSeries.build(order, {((k, 0) if index == 1 else (0, k)): fn(k)
+                                  for k in range(order + 1)})
+
+
+@pytest.mark.parametrize("index", [1, 2])
+@pytest.mark.parametrize("fn", [lambda k: Fraction((-1) ** k, factorial(k + 1)),
+                                lambda k: Fraction(1, factorial(k + 1))],
+                         ids=["one-minus-exp-neg", "expm1"])
+def test_order_46_todd_units_inverse_equals_reference(index, fn):
+    """The univariate units that verify inverts at order 46, in each
+    variable: (1 - e^(-t))/t under the node check and (e^t - 1)/t under
+    the Bernoulli check."""
+    u = _todd_unit(46, index, fn)
+    assert u.inverse() == reference_inverse(u)
+
+
+def test_marked_point_unit_inverse_equals_reference():
+    """(e^U - 1)/U at U = D1 - D2 in the quotient ring, at order 46:
+    U^k is D1^k + (-D2)^k there for k >= 1."""
+    order = 46
+    data = {(0, 0): Fraction(1)}
+    for k in range(1, order + 1):
+        data[(k, 0)] = Fraction(1, factorial(k + 1))
+        data[(0, k)] = Fraction((-1) ** k, factorial(k + 1))
+    u = BiSeries.build(order, data, cross_zero=True)
+    assert u.inverse() == reference_inverse(u)
+    assert u * u.inverse() == BiSeries.one(order, cross_zero=True)
+
+
+def test_inverse_when_the_denominator_grows_after_degree_one():
+    """The coefficients of degree <= 1 have denominators 2 and 4; degrees
+    2 and 3 bring in 3 and 7, so the pending sums are scaled up twice."""
+    u = BiSeries.build(8, {(0, 0): 2, (1, 0): 1, (0, 1): -4, (0, 2): Fraction(1, 3),
+                           (2, 1): Fraction(5, 7), (1, 1): 6})
+    inv = u.inverse()
+    assert inv == reference_inverse(u)
+    dens = {d: lcm(*(c.denominator for (i, j), c in inv.coeffs if i + j == d))
+            for d in range(4)}
+    assert lcm(dens[0], dens[1]) == 4
+    assert dens[2] % 3 == 0 and dens[3] % 7 == 0
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                       st.fractions(min_value=-3, max_value=3, max_denominator=5), max_size=6),
+       st.booleans())
+def test_exp_of_minus_is_the_inverse(data, cross_zero):
+    """exp(-s) is the inverse of exp(s); both exponentials come from the
+    oracle, so only the inverse is the package's."""
+    data.pop((0, 0), None)
+    order = 6
+    s = BiSeries.build(order, data, cross_zero)
+    e = BiSeries.build(order, series_exp(order, s.as_dict(), cross_zero), cross_zero)
+    minus = BiSeries.build(order, series_exp(order, s.scale(-1).as_dict(), cross_zero),
+                           cross_zero)
+    assert e.inverse() == minus
 
 
 # ------------------------------------------------------------------ properties
