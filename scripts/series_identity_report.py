@@ -18,15 +18,17 @@ from fractions import Fraction
 from math import factorial
 
 from tautchern import (
+    BiSeries,
     bernoulli,
-    bernoulli_by_series,
     check_marked_point,
     check_node_correction,
     check_todd_bernoulli,
     format_rational,
     kappa_correction,
     kappa_correction_series_table,
-    marked_point_table,
+    marked_point_product,
+    marked_point_reference,
+    todd_reciprocal,
 )
 
 
@@ -36,17 +38,40 @@ def series_checks(order: int) -> None:
           f"{'PASS' if check_node_correction(order) else 'FAIL'}")
     print(f"  todd reciprocal / Bernoulli: "
           f"{'PASS' if check_todd_bernoulli(order) else 'FAIL'}")
+    # One inversion holds every B_k with k <= order, times 1/k!.
+    todd = todd_reciprocal(order)
     mismatch = [k for k in range(order + 1)
-                if bernoulli_by_series(k) != bernoulli(k)]
+                if todd.coeff(k, 0) * factorial(k) != bernoulli(k)]
     print(f"  series Bernoulli vs recurrence through {order}: "
           f"{'PASS' if not mismatch else f'FAIL at {mismatch}'}")
     print()
 
 
+def bare_exponential_table(m_max: int) -> dict[int, Fraction]:
+    """Correction constants read from (sum_(h>=1) B_2h t^2h/(2h)!) * e^t,
+    the bare exponential in place of e^t - 1: at even m this adds B_m/m!
+    to the defining sum (already at m = 4)."""
+    bern = BiSeries.build(m_max, {(k, 0): bernoulli(k) / factorial(k)
+                                  for k in range(2, m_max + 1, 2)})
+    expo = BiSeries.build(m_max, {(k, 0): Fraction(1, factorial(k))
+                                  for k in range(m_max + 1)})
+    product = bern * expo
+    return {m: product.coeff(m, 0) for m in range(3, m_max + 1)}
+
+
+def marked_point_table(order: int) -> list[tuple[int, Fraction, Fraction, Fraction]]:
+    """Per-degree comparison: (m, exact product, minus-tail, plus-tail)."""
+    product = marked_point_product(order)
+    minus = marked_point_reference(order, -1)
+    plus = marked_point_reference(order, 1)
+    return [(m, product.coeff(0, m), minus.coeff(0, m), plus.coeff(0, m))
+            for m in range(1, order + 1)]
+
+
 def correction_table(mmax: int) -> None:
     print("correction constants a_m: defining sum vs generating products")
     expm1 = kappa_correction_series_table(mmax)
-    bare = kappa_correction_series_table(mmax, use_expm1=False)
+    bare = bare_exponential_table(mmax)
     print("  m   sum           (e^t - 1) product   e^t product")
     for m in range(3, mmax + 1):
         a = kappa_correction(m)

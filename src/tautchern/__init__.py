@@ -24,14 +24,12 @@ from .algebra import (
 )
 from .biseries import (
     BiSeries,
-    bernoulli_by_series,
     check_marked_point,
     check_node_correction,
     check_todd_bernoulli,
     kappa_correction_series_table,
     marked_point_product,
     marked_point_reference,
-    marked_point_table,
     node_correction_series,
     structure_sheaf_pair_ch,
     todd_dual_inverse_pair,

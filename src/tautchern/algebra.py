@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
 
-from .rationals import DomainError, _exact
+from .rationals import DomainError, _exact, check_int
 
 # Generator kind tags.  These double as the "gen" names in JSON output.
 KAPPA = "kappa"
@@ -199,8 +199,7 @@ class ModuliSpec:
     concrete: bool = False
 
     def __post_init__(self):
-        if type(self.genus) is not int or self.genus < 0:
-            raise DomainError(f"genus must be an int >= 0, got {self.genus!r}")
+        check_int(self.genus, 0, "genus")
         if type(self.concrete) is not bool:
             raise DomainError(f"concrete must be a bool, got {self.concrete!r}")
         if type(self.labels) not in (tuple, list):
@@ -254,6 +253,14 @@ class ModuliSpec:
         hh, _, pos = min((h, len(idx), idx), (self.genus - h, len(comp), comp))
         return stable, (hh, tuple(self.labels[i] for i in pos))
 
+    def _stable_side(self, h: int, labels: Iterable[str]) -> tuple[int, tuple[str, ...]]:
+        """The canonical side of the splitting (h, A), which must be stable."""
+        stable, side = self._side(h, labels)
+        if not stable:
+            raise DomainError(f"splitting (h={h}, A={tuple(labels)}) is not stable on "
+                              f"(g={self.genus}, n={self.n})")
+        return side
+
     def splitting_is_stable(self, h: int, labels: Iterable[str]) -> bool:
         """Both sides of the separating splitting (h, A) must be stable."""
         return self._side(h, labels)[0]
@@ -304,13 +311,7 @@ class ModuliSpec:
         """
         if not all(type(x) is int for x in (h, a, b)):
             raise DomainError(f"sep_push takes int h, a and b, got {(h, a, b)!r}")
-        stable, side = self._side(h, labels)
-        if not stable:
-            raise DomainError(
-                f"splitting (h={h}, A={tuple(labels)}) is not stable on "
-                f"(g={self.genus}, n={self.n})"
-            )
-        return Gen(BSEP, (*side, max(a, b), min(a, b)))
+        return Gen(BSEP, (*self._stable_side(h, labels), max(a, b), min(a, b)))
 
 
 @lru_cache(maxsize=32)
@@ -353,11 +354,8 @@ def _validate_gen(gen: Gen, spec: ModuliSpec) -> None:
         if not spec.concrete:
             raise DomainError("individual sep pushforward atoms require a concrete specification")
         h, lab = gen.args[:2]
-        stable, side = spec._side(h, lab)
-        if (h, lab) != side:
+        if (h, lab) != spec._stable_side(h, lab):
             raise DomainError(f"sep atom side (h={h}, A={lab}) is not canonical")
-        if not stable:
-            raise DomainError(f"sep atom splitting (h={h}, A={lab}) is not stable")
 
 
 def _monomial_vanishes(mono: Monomial, spec: ModuliSpec) -> bool:
@@ -367,11 +365,6 @@ def _monomial_vanishes(mono: Monomial, spec: ModuliSpec) -> bool:
         if g.kind == BIRR and spec.genus == 0:
             return True
     return False
-
-
-def _check_order(order: int) -> None:
-    if type(order) is not int or order < 0:
-        raise DomainError(f"truncation order must be an int >= 0, got {order!r}")
 
 
 def _cap(spec: ModuliSpec, order: int) -> int:
@@ -400,7 +393,7 @@ class TautExpr:
         identically (psi sums with no markings, irreducible atoms in
         genus 0) are all dropped.
         """
-        _check_order(order)
+        check_int(order, 0, "truncation order")
         checked = []
         for gens, coeff in items:
             q = _exact(coeff)
@@ -475,8 +468,7 @@ class TautExpr:
                                [(c, m, (other,)) for m, c in self.terms])
 
     def __pow__(self, k: int) -> "TautExpr":
-        if type(k) is not int or k < 0:
-            raise DomainError(f"expression powers must be an int >= 0, got {k!r}")
+        check_int(k, 0, "expression power")
         return sum_of_products(self.spec, self.order, [(Fraction(1), (), [self] * k)])
 
     def is_zero(self) -> bool:
@@ -614,7 +606,7 @@ def delta_as_atoms(spec: ModuliSpec, order: int) -> TautExpr:
     """
     if not spec.concrete:
         raise DomainError("concrete boundary expansion needs a concrete specification")
-    _check_order(order)
+    check_int(order, 0, "truncation order")
     items = [((irr_push(0, 0),), Fraction(1, 2))] if spec.genus >= 1 else []
     items += [((Gen(BSEP, (h, lab, 0, 0)),), Fraction(mult, 2))
               for h, lab, mult in spec.splitting_classes()]

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Mapping
 
-from .rationals import DomainError, _exact, bernoulli, kappa_correction
+from .rationals import DomainError, _exact, bernoulli, check_int, kappa_correction
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,8 +47,7 @@ class BiSeries:
         zero terms, terms above the order, and mixed terms under
         cross_zero, are dropped.  A mapping's keys are unique, so the kept
         terms are only sorted, never summed."""
-        if type(order) is not int or order < 0:
-            raise DomainError(f"series order must be an int >= 0, got {order!r}")
+        check_int(order, 0, "series order")
         kept = []
         for key, c in data.items():
             if not isinstance(key, tuple) or len(key) != 2:
@@ -209,8 +208,7 @@ def one_minus_exp_neg(order: int, index: int,
 
 def structure_sheaf_pair_ch(order: int) -> BiSeries:
     """(1 - e^(-D1)) * (1 - e^(-D2)): the node structure sheaf character."""
-    if order < 2:
-        raise DomainError(f"the product starts at degree 2; need order >= 2, got {order}")
+    check_int(order, 2, "node sheaf character order")
     return one_minus_exp_neg(order, 1) * one_minus_exp_neg(order, 2)
 
 
@@ -236,8 +234,7 @@ def _times_unit_todds(theta: BiSeries) -> BiSeries:
 def node_correction_series(order: int) -> BiSeries:
     """sum_(j>=1) (-1)^(j-1) (D1+D2)^(j-1) / j!, which is (1-e^(-s))/s at
     s = D1+D2, expanded binomially: (-1)^k C(k,i) / (k+1)! on D1^i D2^(k-i)."""
-    if type(order) is not int or order < 0:
-        raise DomainError(f"series order must be an int >= 0, got {order!r}")
+    check_int(order, 0, "series order")
     return BiSeries(order, False, tuple(
         ((i, j), Fraction((-1) ** (i + j) * comb(i + j, i), factorial(i + j + 1)))
         for i in range(order + 1) for j in range(order + 1 - i)))
@@ -251,8 +248,7 @@ def check_node_correction(order: int, inject_fault: bool = False) -> bool:
     then fail, which guards the harness against vacuity.  The one series
     theta serves both sides, and only the right side's copy is flipped.
     """
-    if order < 4:
-        raise DomainError(f"the node correction check needs order >= 4, got {order}")
+    check_int(order, 4, "node correction check order")
     theta = node_correction_series(order)
     lhs = structure_sheaf_pair_ch(order) * _times_unit_todds(theta)
     if inject_fault:
@@ -266,46 +262,31 @@ def check_node_correction(order: int, inject_fault: bool = False) -> bool:
 
 def todd_reciprocal(order: int) -> BiSeries:
     """t/(e^t - 1) as a univariate series in the first variable."""
+    check_int(order, 0, "series order")
     return _univariate(order, 1, lambda k: Fraction(1, factorial(k + 1))).inverse()
 
 
 def check_todd_bernoulli(order: int) -> bool:
     """t/(e^t-1) against 1 - t/2 + sum B_2j t^2j/(2j)! with recurrence values."""
-    if order < 2:
-        raise DomainError(f"the Bernoulli expansion check needs order >= 2, got {order}")
+    check_int(order, 2, "Bernoulli expansion check order")
     even = _univariate(order, 1, lambda k: bernoulli(k) / factorial(k)
                        if k % 2 == 0 else 0)
     half_t = BiSeries.variable(order, 1).scale(Fraction(1, 2))
     return todd_reciprocal(order) == even - half_t
 
 
-def bernoulli_by_series(k: int) -> Fraction:
-    """Bernoulli number read off the inverted series; independent of the
-    recurrence implementation."""
-    if k < 0:
-        raise DomainError(f"Bernoulli numbers need k >= 0, got {k}")
-    return todd_reciprocal(k).coeff(k, 0) * factorial(k)
-
-
-def kappa_correction_series_table(m_max: int,
-                                  use_expm1: bool = True) -> dict[int, Fraction]:
+def kappa_correction_series_table(m_max: int) -> dict[int, Fraction]:
     """Correction constants read from the generating product.
 
     The product is (sum_(h>=1) B_2h t^2h/(2h)!) * (e^t - 1); the -1 is
     forced by the summation bound floor((m-1)/2) in the defining sum
     (every term must absorb at least one factor from the exponential).
-    With use_expm1 False the bare exponential is used instead; that
-    variant disagrees at even m (already at m = 4) and exists only to
-    document the difference.
     """
-    if m_max < 3:
-        raise DomainError(f"correction constants start at m = 3, got {m_max}")
+    check_int(m_max, 3, "largest correction index m_max")
     bern = _univariate(m_max, 1, lambda k: bernoulli(k) / factorial(k)
                        if k >= 2 and k % 2 == 0 else 0)
-    expo = _univariate(m_max, 1, lambda k: Fraction(1, factorial(k)))
-    if use_expm1:
-        expo = expo - BiSeries.one(m_max)
-    product = bern * expo
+    expm1 = _univariate(m_max, 1, lambda k: Fraction(1, factorial(k)) if k else 0)
+    product = bern * expm1
     return {m: product.coeff(m, 0) for m in range(3, m_max + 1)}
 
 
@@ -316,8 +297,7 @@ def marked_point_product(order: int) -> BiSeries:
     marked point.  Computed honestly: powers of D1 - D2 in the quotient
     ring, the unit series (e^U - 1)/U inverted, then the product.
     """
-    if order < 1:
-        raise DomainError(f"the marked point product needs order >= 1, got {order}")
+    check_int(order, 1, "marked point product order")
     u = (BiSeries.variable(order, 1, cross_zero=True)
          - BiSeries.variable(order, 2, cross_zero=True))
     unit = BiSeries.zero(order, cross_zero=True)
@@ -340,6 +320,7 @@ def marked_point_reference(order: int, tail_sign: int = -1) -> BiSeries:
     normalization the main cotangent expansion uses; tail_sign +1 is the
     sign under which the closed form equals the exact product.
     """
+    check_int(order, 0, "series order")
     if tail_sign not in (-1, 1):
         raise DomainError(f"tail sign must be -1 or +1, got {tail_sign}")
     data: dict[tuple[int, int], Fraction] = {}
@@ -356,15 +337,6 @@ def marked_point_reference(order: int, tail_sign: int = -1) -> BiSeries:
 def check_marked_point(order: int, tail_sign: int = -1) -> bool:
     """Does the exact marked point product match the closed form with the
     given tail sign, up to the given order?"""
-    if order < 3:
-        raise DomainError(f"the marked point check needs order >= 3, got {order}")
+    check_int(order, 3, "marked point check order")
     return marked_point_product(order) == marked_point_reference(order, tail_sign)
 
-
-def marked_point_table(order: int) -> list[tuple[int, Fraction, Fraction, Fraction]]:
-    """Per-degree comparison: (m, exact product, minus-tail, plus-tail)."""
-    product = marked_point_product(order)
-    minus = marked_point_reference(order, -1)
-    plus = marked_point_reference(order, 1)
-    return [(m, product.coeff(0, m), minus.coeff(0, m), plus.coeff(0, m))
-            for m in range(1, order + 1)]

@@ -130,8 +130,7 @@ def _verify_checks(order: int, inject_fault: bool):
     gating.append((
         f"todd reciprocal matches the Bernoulli expansion (order {todd_order})",
         check_todd_bernoulli(todd_order)))
-    # One inversion at order 30 holds every coefficient that
-    # bernoulli_by_series(k) would read from its own order-k inversion.
+    # One inversion at order 30 holds B_k/k! for every k <= 30.
     todd = todd_reciprocal(30)
     gating.append((
         "Bernoulli recurrence matches series inversion (k <= 30)",

@@ -50,7 +50,7 @@ from .partitions import (
     partitions,
     power_sym,
 )
-from .rationals import DomainError, bernoulli, kappa_correction
+from .rationals import DomainError, bernoulli, check_int, kappa_correction
 
 BUNDLES = ("cotangent", "tangent")
 
@@ -63,8 +63,7 @@ def kappa_coefficient(d: int) -> Fraction:
     Simplifies to 2/(d+1)!; the test suite checks that identity rather
     than assuming it here.
     """
-    if d < 1:
-        raise DomainError(f"kappa coefficient is defined for degree >= 1, got {d}")
+    check_int(d, 1, "kappa coefficient degree")
     coeff = Fraction(1, factorial(d + 1)) + Fraction(1, 2 * factorial(d))
     if d >= 2:
         coeff -= kappa_correction(d + 1)
@@ -73,8 +72,7 @@ def kappa_coefficient(d: int) -> Fraction:
 
 def boundary_coefficient(d: int) -> Fraction:
     """Scalar in front of the degree-d boundary pushforward block."""
-    if d < 1:
-        raise DomainError(f"boundary coefficient is defined for degree >= 1, got {d}")
+    check_int(d, 1, "boundary coefficient degree")
     return Fraction((-1) ** d, 2 * factorial(d))
 
 
@@ -115,8 +113,7 @@ def _boundary_items(spec: ModuliSpec, shapes: SymPoly2, scalar: Fraction):
 
 def ch_cotangent(spec: ModuliSpec, order: int) -> TautExpr:
     """Graded Chern character of the cotangent bundle, degrees 1..order."""
-    if type(order) is not int or order < 1:
-        raise DomainError(f"character order must be an int >= 1, got {order!r}")
+    check_int(order, 1, "character order")
     items: list[tuple[tuple, Fraction]] = []
     top = min(order, spec.dimension) if spec.concrete else order
     for d in range(1, top + 1):
@@ -163,8 +160,7 @@ def hodge_ch(spec: ModuliSpec, order: int,
     Only odd degrees 2m-1 carry terms; the rank g is reported by rank().
     The kappa~ generators can be rewritten through kappa_tilde_rewrite.
     """
-    if type(order) is not int or order < 0:
-        raise DomainError(f"character order must be an int >= 0, got {order!r}")
+    check_int(order, 0, "character order")
     items: list[tuple[tuple, Fraction]] = []
     m = 1
     while 2 * m - 1 <= order:
@@ -244,22 +240,35 @@ def canonical_class(spec: ModuliSpec, order: int = 1) -> TautExpr:
             - delta_total(spec, order).scale(2))
 
 
+def _character(ch: Mapping[int, TautExpr], jmax: int) -> list[TautExpr]:
+    """ch_1..ch_jmax, each a TautExpr on the spec and order of ch_1."""
+    check_int(jmax, 0, "class count")
+    if not isinstance(ch, Mapping):
+        raise DomainError(f"Chern character must be a mapping, got {type(ch).__name__}")
+    missing = [j for j in range(1, jmax + 1) if j not in ch]
+    if missing:
+        raise DomainError(f"missing Chern character components {missing}")
+    parts = [ch[j] for j in range(1, jmax + 1)]
+    for part in parts:
+        if not isinstance(part, TautExpr):
+            raise DomainError(f"Chern character components must be TautExpr, "
+                              f"got {type(part).__name__}")
+        _check_compatible(parts[0].spec, parts[0].order, part)
+    return parts
+
+
 def chern_from_ch(ch: Mapping[int, TautExpr], jmax: int) -> list[TautExpr]:
     """Chern classes c_1..c_jmax from graded Chern character components.
 
     c_j is the sum over partitions mu of j of the partition coefficient
     times the product of the ch components indexed by the parts.
     """
-    if jmax < 0:
-        raise DomainError(f"class count must be >= 0, got {jmax}")
-    if jmax == 0:
+    parts = _character(ch, jmax)
+    if not parts:
         return []
-    missing = [j for j in range(1, jmax + 1) if j not in ch]
-    if missing:
-        raise DomainError(f"missing Chern character components {missing}")
-    probe = ch[1]
-    return [sum_of_products(probe.spec, probe.order,
-                            ((partition_chern_coeff(mu), (), [ch[part] for part in mu])
+    spec, order = parts[0].spec, parts[0].order
+    return [sum_of_products(spec, order,
+                            ((partition_chern_coeff(mu), (), [parts[r - 1] for r in mu])
                              for mu in partitions(j)))
             for j in range(1, jmax + 1)]
 
@@ -272,20 +281,14 @@ def chern_exp_oracle(ch: Mapping[int, TautExpr], jmax: int) -> list[TautExpr]:
     merge, and the truncated sum of its powers over k! is one kernel call.
     Shares no mathematics with the partition route, only the kernel.
     """
-    if jmax < 0:
-        raise DomainError(f"class count must be >= 0, got {jmax}")
-    if jmax == 0:
+    parts = _character(ch, jmax)
+    if not parts:
         return []
-    missing = [j for j in range(1, jmax + 1) if j not in ch]
-    if missing:
-        raise DomainError(f"missing Chern character components {missing}")
-    probe = ch[1]
-    spec, order = probe.spec, probe.order
+    spec, order = parts[0].spec, parts[0].order
     items = []
-    for r in range(1, jmax + 1):
-        _check_compatible(spec, order, ch[r])
+    for r, part in enumerate(parts, 1):
         scalar = (-1) ** (r - 1) * factorial(r - 1)
-        items.extend((m, c * scalar) for m, c in ch[r].terms)
+        items.extend((m, c * scalar) for m, c in part.terms)
     log_term = TautExpr._collect(spec, order, items)
     total = sum_of_products(spec, order, [(Fraction(1, factorial(k)), (), [log_term] * k)
                                           for k in range(jmax + 1)])

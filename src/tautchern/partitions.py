@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterator
 
-from .rationals import DomainError
+from .rationals import DomainError, check_int
 
 SymPoly2 = dict[tuple[int, int], Fraction]
 
@@ -36,8 +36,7 @@ def partitions(j: int) -> Iterator[tuple[int, ...]]:
     Partitions come out in reverse lexicographic order, largest part
     first: (j), ..., (1,)*j.
     """
-    if j < 1:
-        raise DomainError(f"partition enumeration needs j >= 1, got {j}")
+    check_int(j, 1, "partition weight j")
     yield from _partitions_rec(j, j)
 
 
@@ -51,13 +50,11 @@ def partition_chern_coeff(mu: tuple[int, ...]) -> Fraction:
 
     The empty partition gives c_0 = 1.
     """
-    n = sum(mu)
     mult: dict[int, int] = {}
     for part in mu:
-        if part < 1:
-            raise DomainError(f"partition parts must be >= 1, got {part}")
+        check_int(part, 1, "partition part")
         mult[part] = mult.get(part, 0) + 1
-    coeff = Fraction((-1) ** (n - len(mu)))
+    coeff = Fraction((-1) ** (sum(mu) - len(mu)))
     for r, m_r in mult.items():
         coeff *= Fraction(factorial(r - 1) ** m_r, factorial(m_r))
     return coeff
@@ -69,8 +66,7 @@ def power_sym(k: int) -> SymPoly2:
     Returns {(k-b, b): C(k, b)} for b = 0 .. floor(k/2); the middle
     binomial is taken once because m_(a,a) already is a single monomial.
     """
-    if k < 0:
-        raise DomainError(f"power_sym needs k >= 0, got {k}")
+    check_int(k, 0, "power_sym exponent k")
     out: SymPoly2 = {}
     for b in range(k // 2 + 1):
         out[(k - b, b)] = Fraction(comb(k, b))
@@ -86,6 +82,6 @@ def alternating_sym(k: int) -> SymPoly2:
     {(k-b, b): (-1)^b}.  The sum is symmetric only when k is even, so odd
     k is rejected.
     """
-    if k < 0 or k % 2:
-        raise DomainError(f"alternating_sym needs even k >= 0, got {k}")
+    if check_int(k, 0, "alternating_sym degree k") % 2:
+        raise DomainError(f"alternating_sym needs even k, got {k}")
     return {(k - b, b): Fraction((-1) ** b) for b in range(k // 2 + 1)}

@@ -22,6 +22,13 @@ def _exact(q) -> Fraction:
     return Fraction(q)
 
 
+def check_int(value, low: int, what: str) -> int:
+    """value itself, if it is an int (a bool is not) and at least low."""
+    if type(value) is not int or value < low:
+        raise DomainError(f"{what} must be an int >= {low}, got {value!r}")
+    return value
+
+
 # Append-only cache of Bernoulli numbers B_0, B_1, ... (second
 # convention: B_1 = -1/2).
 _bern: list[Fraction] = [Fraction(1)]
@@ -36,8 +43,7 @@ def bernoulli(k: int) -> Fraction:
 
     solved for B_n.  Values are memoized.
     """
-    if k < 0:
-        raise DomainError(f"Bernoulli numbers need k >= 0, got {k}")
+    check_int(k, 0, "Bernoulli index k")
     while len(_bern) <= k:
         n = len(_bern)
         acc = Fraction(0)
@@ -57,8 +63,7 @@ def kappa_correction(m: int) -> Fraction:
     test suite checks the sum against that identity and against a series
     product oracle.
     """
-    if m < 3:
-        raise DomainError(f"kappa correction is defined for m >= 3, got {m}")
+    check_int(m, 3, "kappa correction index m")
     total = Fraction(0)
     for h in range(1, (m - 1) // 2 + 1):
         total += bernoulli(2 * h) / (factorial(2 * h) * factorial(m - 2 * h))

@@ -12,8 +12,6 @@ from oracles import bernoulli_list, series_exp
 from tautchern import (
     BiSeries,
     DomainError,
-    bernoulli,
-    bernoulli_by_series,
     check_marked_point,
     check_node_correction,
     check_todd_bernoulli,
@@ -22,7 +20,6 @@ from tautchern import (
     kappa_correction_series_table,
     marked_point_product,
     marked_point_reference,
-    marked_point_table,
     node_correction_series,
     structure_sheaf_pair_ch,
     todd_dual_inverse_pair,
@@ -197,12 +194,13 @@ def test_todd_bernoulli_order_domain():
         check_todd_bernoulli(1)
 
 
-def test_bernoulli_by_series_matches_linear_solve():
+def test_todd_reciprocal_reads_bernoulli_numbers():
+    """One inversion holds B_k/k! for every k up to its order, as verify
+    reads it."""
     oracle = bernoulli_list(30)
+    todd = todd_reciprocal(30)
     for k in range(31):
-        assert bernoulli_by_series(k) == oracle[k]
-    with pytest.raises(DomainError):
-        bernoulli_by_series(-2)
+        assert todd.coeff(k, 0) * factorial(k) == oracle[k]
 
 
 # ------------------------------------------------------- correction constants
@@ -211,14 +209,6 @@ def test_correction_table_matches_sum_definition():
     table = kappa_correction_series_table(20)
     for m in range(3, 21):
         assert table[m] == kappa_correction(m)
-
-
-def test_correction_table_bare_exponential_variant():
-    bare = kappa_correction_series_table(12, use_expm1=False)
-    assert bare[4] == Fraction(29, 720)
-    for m in range(3, 13):
-        extra = bernoulli(m) / factorial(m) if m % 2 == 0 else Fraction(0)
-        assert bare[m] == kappa_correction(m) + extra
 
 
 def test_correction_table_domain():
@@ -272,14 +262,6 @@ def test_marked_point_minus_tail_does_not_match(order):
 def test_marked_point_check_domain():
     with pytest.raises(DomainError):
         check_marked_point(2)
-
-
-def test_marked_point_table_summarizes_both_tails():
-    rows = marked_point_table(8)
-    assert [m for m, *_ in rows] == list(range(1, 9))
-    for m, product, minus, plus in rows:
-        assert product == plus
-        assert (product == minus) == (m < 3)
 
 
 # ------------------------------------------------------- reference products

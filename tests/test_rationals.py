@@ -10,7 +10,27 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import bernoulli_list, correction_table
-from tautchern import DomainError, bernoulli, format_rational, kappa_correction
+from tautchern import (
+    DomainError,
+    ModuliSpec,
+    TautExpr,
+    bernoulli,
+    check_todd_bernoulli,
+    chern_exp_oracle,
+    chern_from_ch,
+    default_labels,
+    format_rational,
+    kappa,
+    kappa_coefficient,
+    kappa_correction,
+    kappa_correction_series_table,
+    marked_point_reference,
+    partitions,
+    power_sym,
+    structure_sheaf_pair_ch,
+    todd_reciprocal,
+)
+from tautchern.rationals import check_int
 
 PINNED_BERNOULLI = {
     0: Fraction(1),
@@ -136,3 +156,51 @@ def test_format_rational_pinned():
 @given(st.fractions(min_value=-1000, max_value=1000, max_denominator=997))
 def test_format_rational_round_trips(q):
     assert Fraction(format_rational(q)) == q
+
+
+# ------------------------------------------------------ integer arguments
+
+def test_check_int():
+    assert check_int(3, 3, "m") == 3
+    with pytest.raises(DomainError, match=r"^m must be an int >= 3, got 2$"):
+        check_int(2, 3, "m")
+    for value in (True, 3.0, "3", None):
+        with pytest.raises(DomainError):
+            check_int(value, 0, "m")
+
+
+_SPEC = ModuliSpec(2, default_labels(1))
+_CH = {1: TautExpr.of(_SPEC, 2, kappa(1)), 2: TautExpr.of(_SPEC, 2, kappa(2))}
+
+# (name, call on the integer argument, a float that passes the bound, the bound)
+_INT_ARGUMENTS = [
+    ("bernoulli", bernoulli, 2.0, 0),
+    ("kappa_correction", kappa_correction, 3.0, 3),
+    ("partitions", lambda j: list(partitions(j)), 2.0, 1),
+    ("power_sym", power_sym, 2.0, 0),
+    ("kappa_coefficient", kappa_coefficient, 2.0, 1),
+    ("todd_reciprocal", todd_reciprocal, 2.0, 0),
+    ("marked_point_reference", lambda k: marked_point_reference(k, 1), 4.0, 0),
+    ("check_todd_bernoulli", check_todd_bernoulli, 2.5, 2),
+    ("structure_sheaf_pair_ch", structure_sheaf_pair_ch, 3.5, 2),
+    ("kappa_correction_series_table", kappa_correction_series_table, 20.5, 3),
+    ("chern_from_ch", lambda j: chern_from_ch(_CH, j), 2.0, 0),
+    ("chern_exp_oracle", lambda j: chern_exp_oracle(_CH, j), 2.0, 0),
+]
+
+
+@pytest.mark.parametrize("call,value", [
+    pytest.param(call, value, id=f"{name}({value!r})")
+    for name, call, real, low in _INT_ARGUMENTS
+    for value in [real, "x"] + ([low - 1] if low > 0 else [])
+] + [
+    pytest.param(lambda ch: chern_from_ch(ch, 2), {1: 5, 2: 6},
+                 id="chern_from_ch(non-TautExpr)"),
+    pytest.param(lambda ch: chern_exp_oracle(ch, 2), {1: 5, 2: 6},
+                 id="chern_exp_oracle(non-TautExpr)"),
+])
+def test_bad_arguments_are_domain_errors(call, value):
+    """A float, a string or a value below the bound is refused as a
+    DomainError, not as a TypeError from deeper inside."""
+    with pytest.raises(DomainError):
+        call(value)
