@@ -12,11 +12,16 @@ m_(a,b) in the two cotangent classes at the node.  For separating atoms
 the pair (h, A) is stored as the canonical representative of the
 identification (h, A) ~ (g-h, complement of A).
 
-Every product runs in one kernel, sum_of_products: a per-call table
-numbers the generators in stored order, monomials become sorted int
-tuples, coefficients integer numerators over one lcm, and each output
-term costs one Fraction; the table dies with the call.  The collector
-under +, scale and component also sums integer numerators over one lcm.
+Every product runs in one kernel, sums_of_products, which sums
+c * m * f1 * f2 * ... over each group of (c, m, factors) triples;
+sum_of_products is its one-group call.  A per-call table numbers the
+generators in stored order, monomials become sorted int tuples,
+coefficients integer numerators over one lcm per group, and each output
+term costs one Fraction; the table dies with the call.  Chains that start
+with the same monomial and factor objects share the product of that
+prefix, formed once for all groups; a chain that shares nothing runs as
+a lone product.  The collector under +, scale and component also sums
+integer numerators over one lcm.
 """
 
 from __future__ import annotations
@@ -542,13 +547,28 @@ def _check_compatible(spec: ModuliSpec, order: int, other: TautExpr) -> None:
 def sum_of_products(spec: ModuliSpec, order: int,
                     products: Iterable[tuple[Fraction, Monomial, Iterable[TautExpr]]]) -> TautExpr:
     """The sum of c * m * f1 * f2 * ... over the (c, m, factors) triples,
-    with each monomial m canonical on spec: the one product kernel.  Each
+    with each monomial m canonical on spec: the one-group call of
+    sums_of_products."""
+    return sums_of_products(spec, order, [products])[0]
+
+
+def sums_of_products(spec: ModuliSpec, order: int,
+                     groups: Iterable[Iterable[tuple[Fraction, Monomial, Iterable[TautExpr]]]]
+                     ) -> list[TautExpr]:
+    """For each group of (c, m, factors) triples, the sum of
+    c * m * f1 * f2 * ..., with each monomial m canonical on spec: the one
+    product kernel.  One generator table serves every group, and each
     distinct factor object is read once, by degree, as int monomials with
-    numerators over its lcm; pieces run over the lcm of their denominators."""
+    numerators over its lcm; a group's pieces run over the lcm of their
+    denominators.  Chains (m, f1, ..., fk) with the same m and the same
+    first factor objects share a prefix, within a group or across groups:
+    the product m * f1 * ... * fi is formed once for all chains that
+    extend it.  A chain that shares nothing runs as a lone product."""
     cap = _cap(spec, order)
-    products = [(c, mono, tuple(fs)) for c, mono, fs in products]
-    factors = {id(f): f for _, _, fs in products for f in fs}
-    gens = {g for _, mono, _ in products for g in mono}
+    groups = [[(c, mono, tuple(fs)) for c, mono, fs in products] for products in groups]
+    triples = [t for products in groups for t in products]
+    factors = {id(f): f for _, _, fs in triples for f in fs}
+    gens = {g for _, mono, _ in triples for g in mono}
     for f in factors.values():
         _check_compatible(spec, order, f)
         gens.update(*[m for m, _ in f.terms])
@@ -557,31 +577,83 @@ def sum_of_products(spec: ModuliSpec, order: int,
     read = {}
     for key, f in factors.items():
         den = lcm(*[c.denominator for _, c in f.terms])
-        groups = [[] for _ in range(cap + 1)]
+        by_degree = [[] for _ in range(cap + 1)]
         for m, c in f.terms:
-            groups[monomial_degree(m)].append(
+            by_degree[monomial_degree(m)].append(
                 (tuple([index[g] for g in m]), c.numerator * (den // c.denominator)))
-        read[key] = den, groups
-    pieces = [(c, monomial_degree(mono), tuple([index[g] for g in mono]),
-               [read[id(f)] for f in fs])
-              for c, mono, fs in products if c and monomial_degree(mono) <= cap]
-    dens = [c.denominator * prod([den for den, _ in chain]) for c, _, _, chain in pieces]
-    big = lcm(*dens)
-    total: list[dict[tuple[int, ...], int]] = [{} for _ in range(cap + 1)]
-    for (c, d, mono, chain), den in zip(pieces, dens):
-        num = c.numerator * (big // den)
-        if not chain:
-            total[d][mono] = total[d].get(mono, 0) + num
-        state = [(d, {mono: num})]
-        for i, (_, groups) in enumerate(chain, 1):
-            out = total if i == len(chain) else [{} for _ in range(cap + 1)]
-            _times(state, groups, out, cap)
+        read[key] = den, by_degree
+    # A piece without factors goes straight into its group's total; the
+    # others are chains, (factors, group, numerator), by their (degree,
+    # int monomial) seed.
+    totals = [[{} for _ in range(cap + 1)] for _ in groups]
+    seeds: dict[tuple[int, tuple[int, ...]], list] = {}
+    bigs = []
+    for g, products in enumerate(groups):
+        pieces = [(c, monomial_degree(mono), tuple([index[x] for x in mono]), fs)
+                  for c, mono, fs in products if c and monomial_degree(mono) <= cap]
+        dens = [c.denominator * prod([read[id(f)][0] for f in fs]) for c, _, _, fs in pieces]
+        big = lcm(*dens)
+        bigs.append(big)
+        for (c, d, mono, fs), den in zip(pieces, dens):
+            num = c.numerator * (big // den)
+            if fs:
+                seeds.setdefault((d, mono), []).append((fs, g, num))
+            else:
+                acc = totals[g][d]
+                acc[mono] = acc.get(mono, 0) + num
+
+    def lone(state, fs, total):
+        """Multiply state, which already holds its chain's coefficient, by
+        the factors fs; the last product writes straight into total."""
+        for i, f in enumerate(fs, 1):
+            out = total if i == len(fs) else [{} for _ in range(cap + 1)]
+            _times(state, read[id(f)][1], out, cap)
             state = [(k, part) for k, part in enumerate(out) if part]
+
+    def shared(state, chains, depth):
+        """Add chains that share their seed and first depth factors into
+        their groups' totals; state is that prefix's product without a
+        coefficient.  A product that two chains extend is formed once and
+        dropped when they are done; a chain that shares nothing further
+        takes its coefficient into state and runs alone."""
+        after: dict[int, list] = {}
+        for chain in chains:
+            fs, g, num = chain
+            if len(fs) == depth:
+                _add(state, num, totals[g])
+            else:
+                after.setdefault(id(fs[depth]), []).append(chain)
+        for key, rest in after.items():
+            if len(rest) == 1:
+                (fs, g, num), = rest
+                lone([(d, {m: n * num for m, n in part.items()}) for d, part in state],
+                     fs[depth:], totals[g])
+            else:
+                out = [{} for _ in range(cap + 1)]
+                _times(state, read[key][1], out, cap)
+                shared([(k, part) for k, part in enumerate(out) if part], rest, depth + 1)
+
+    for (d, mono), chains in seeds.items():
+        if len(chains) == 1:
+            (fs, g, num), = chains
+            lone([(d, {mono: num})], fs, totals[g])
+        else:
+            shared([(d, {mono: 1})], chains, 0)
     rank = {i: r for r, i in enumerate(sorted(range(len(table)),
                                               key=lambda i: table[i].display_key()))}
-    return TautExpr(spec, order, tuple(
+    return [TautExpr(spec, order, tuple(
         (tuple([table[i] for i in m]), Fraction(acc[m], big)) for acc in total
         for m in sorted([m for m, n in acc.items() if n], key=lambda m: [rank[i] for i in m])))
+        for total, big in zip(totals, bigs)]
+
+
+def _add(state, num, total) -> None:
+    """Add num times state ((degree, {int monomial: numerator}) parts) into
+    total, a list of dicts by degree."""
+    for d, part in state:
+        acc = total[d]
+        for m, n in part.items():
+            acc[m] = acc.get(m, 0) + num * n
 
 
 def _times(state, groups, out, cap: int) -> None:

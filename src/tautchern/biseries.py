@@ -71,8 +71,8 @@ class BiSeries:
 
     @staticmethod
     def variable(order: int, index: int, cross_zero: bool = False) -> "BiSeries":
-        if index not in (1, 2):
-            raise DomainError(f"variable index must be 1 or 2, got {index}")
+        if type(index) is not int or index not in (1, 2):
+            raise DomainError(f"variable index must be 1 or 2, got {index!r}")
         key = (1, 0) if index == 1 else (0, 1)
         return BiSeries.build(order, {key: 1}, cross_zero)
 
@@ -108,25 +108,40 @@ class BiSeries:
     def __mul__(self, other: "BiSeries") -> "BiSeries":
         """Exact truncated product on integer numerators: a pair whose
         degree is above the order is never visited, and each output
-        coefficient is divided by the common denominator once."""
+        coefficient is divided by the common denominator once.
+
+        Inside the product the pair (i, j) is the int i*(order+1) + j; as
+        j1 + j2 <= order, a product's key is the sum of its factors' keys,
+        and packed keys sort as pairs do.  Under the quotient the right
+        operand is split by variable once, so no pair tests D1*D2 = 0: a
+        pure D1 term meets only right terms without D2, a pure D2 term only
+        those without D1, a constant only pure terms, a mixed term none.
+        """
         self._check_compatible(other)
-        order, cross_zero = self.order, self.cross_zero
+        order, cross_zero, width = self.order, self.cross_zero, self.order + 1
         d1, left = _numerators(self.coeffs)
         d2, right = _numerators(other.coeffs)
-        by_degree: list[list[tuple[int, int, int]]] = [[] for _ in range(order + 1)]
-        for (i2, j2), n2 in right:
-            by_degree[i2 + j2].append((i2, j2, n2))
-        acc: dict[tuple[int, int], int] = {}
+        if cross_zero:
+            no_d2 = _packed_by_degree(order, [t for t in right if not t[0][1]])
+            no_d1 = _packed_by_degree(order, [t for t in right if not t[0][0]])
+            pure = _packed_by_degree(order, [t for t in right if not (t[0][0] and t[0][1])])
+        else:
+            every = _packed_by_degree(order, right)
+        acc: dict[int, int] = {}
         for (i1, j1), n1 in left:
-            for group in by_degree[:order - i1 - j1 + 1]:
-                for i2, j2, n2 in group:
-                    i, j = i1 + i2, j1 + j2
-                    if cross_zero and i >= 1 and j >= 1:
-                        continue
-                    acc[(i, j)] = acc.get((i, j), 0) + n1 * n2
+            if not cross_zero:
+                groups = every
+            elif i1 and j1:
+                continue
+            else:
+                groups = no_d2 if i1 else no_d1 if j1 else pure
+            p1 = i1 * width + j1
+            for group in groups[:order - i1 - j1 + 1]:
+                for p2, n2 in group:
+                    acc[p1 + p2] = acc.get(p1 + p2, 0) + n1 * n2
         den = d1 * d2
-        return BiSeries(order, cross_zero, tuple(sorted(
-            (key, Fraction(n, den)) for key, n in acc.items() if n)))
+        return BiSeries(order, cross_zero, tuple(
+            (divmod(p, width), Fraction(n, den)) for p, n in sorted(acc.items()) if n))
 
     def inverse(self) -> "BiSeries":
         """Multiplicative inverse; requires a unit (nonzero) constant term.
@@ -185,6 +200,15 @@ def _numerators(coeffs) -> tuple[int, list[tuple[tuple[int, int], int]]]:
     return den, [(key, c.numerator * (den // c.denominator)) for key, c in coeffs]
 
 
+def _packed_by_degree(order: int, terms) -> list[list[tuple[int, int]]]:
+    """(i*(order+1) + j, numerator) for each ((i, j), numerator) term,
+    grouped by the degree i + j."""
+    groups: list[list[tuple[int, int]]] = [[] for _ in range(order + 1)]
+    for (i, j), n in terms:
+        groups[i + j].append((i * (order + 1) + j, n))
+    return groups
+
+
 def _univariate(order: int, index: int, fn,
                 cross_zero: bool = False) -> BiSeries:
     """Series in the chosen variable alone, with coefficient fn(k) on D^k."""
@@ -240,6 +264,16 @@ def node_correction_series(order: int) -> BiSeries:
         for i in range(order + 1) for j in range(order + 1 - i)))
 
 
+def _node_sheaf_times_todds(theta: BiSeries) -> BiSeries:
+    """structure_sheaf_pair_ch * todd_dual_inverse_pair at theta's order,
+    with theta the node correction series.  The sheaf character is
+    multiplied in as its two univariate factors, so no product is
+    bivariate on both sides."""
+    order = theta.order
+    return (_times_unit_todds(theta) * one_minus_exp_neg(order, 1)
+            * one_minus_exp_neg(order, 2))
+
+
 def check_node_correction(order: int, inject_fault: bool = False) -> bool:
     """Does ch of the node sheaf times the inverse dual Todd factor equal
     D1*D2 times the node correction series, up to the given order?
@@ -250,7 +284,7 @@ def check_node_correction(order: int, inject_fault: bool = False) -> bool:
     """
     check_int(order, 4, "node correction check order")
     theta = node_correction_series(order)
-    lhs = structure_sheaf_pair_ch(order) * _times_unit_todds(theta)
+    lhs = _node_sheaf_times_todds(theta)
     if inject_fault:
         data = theta.as_dict()
         data[(1, 0)] = -data[(1, 0)]
@@ -321,8 +355,8 @@ def marked_point_reference(order: int, tail_sign: int = -1) -> BiSeries:
     sign under which the closed form equals the exact product.
     """
     check_int(order, 0, "series order")
-    if tail_sign not in (-1, 1):
-        raise DomainError(f"tail sign must be -1 or +1, got {tail_sign}")
+    if type(tail_sign) is not int or tail_sign not in (-1, 1):
+        raise DomainError(f"tail sign must be -1 or +1, got {tail_sign!r}")
     data: dict[tuple[int, int], Fraction] = {}
     for m in range(1, order + 1):
         c = Fraction(1, factorial(m))

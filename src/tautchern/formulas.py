@@ -42,6 +42,7 @@ from .algebra import (
     psi_power_sum,
     sep_push_sum,
     sum_of_products,
+    sums_of_products,
 )
 from .partitions import (
     SymPoly2,
@@ -261,16 +262,18 @@ def chern_from_ch(ch: Mapping[int, TautExpr], jmax: int) -> list[TautExpr]:
     """Chern classes c_1..c_jmax from graded Chern character components.
 
     c_j is the sum over partitions mu of j of the partition coefficient
-    times the product of the ch components indexed by the parts.
+    times the product of the ch components indexed by the parts.  All
+    classes are one kernel call, a group per class, with each partition's
+    product taken in decreasing parts: (3, 2, 1) extends (3, 2), so the
+    shared products are formed once.
     """
     parts = _character(ch, jmax)
     if not parts:
         return []
     spec, order = parts[0].spec, parts[0].order
-    return [sum_of_products(spec, order,
-                            ((partition_chern_coeff(mu), (), [parts[r - 1] for r in mu])
-                             for mu in partitions(j)))
-            for j in range(1, jmax + 1)]
+    return sums_of_products(spec, order, [
+        [(partition_chern_coeff(mu), (), [parts[r - 1] for r in mu]) for mu in partitions(j)]
+        for j in range(1, jmax + 1)])
 
 
 def chern_exp_oracle(ch: Mapping[int, TautExpr], jmax: int) -> list[TautExpr]:

@@ -31,13 +31,14 @@ def _partitions_rec(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
 
 
 def partitions(j: int) -> Iterator[tuple[int, ...]]:
-    """Yield all partitions of j >= 1 as weakly decreasing tuples.
+    """All partitions of j >= 1 as weakly decreasing tuples, checked at
+    the call and yielded lazily.
 
     Partitions come out in reverse lexicographic order, largest part
     first: (j), ..., (1,)*j.
     """
     check_int(j, 1, "partition weight j")
-    yield from _partitions_rec(j, j)
+    return _partitions_rec(j, j)
 
 
 def partition_chern_coeff(mu: tuple[int, ...]) -> Fraction:

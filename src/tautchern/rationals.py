@@ -29,9 +29,11 @@ def check_int(value, low: int, what: str) -> int:
     return value
 
 
-# Append-only cache of Bernoulli numbers B_0, B_1, ... (second
-# convention: B_1 = -1/2).
-_bern: list[Fraction] = [Fraction(1)]
+# Cache of Bernoulli numbers B_0, B_1, ... (second convention:
+# B_1 = -1/2), keyed by index.  Its keys are always 0..len-1: a value is
+# computed from the entries below it only and stored with setdefault, so
+# threads that race to the same index store it once.
+_bern: dict[int, Fraction] = {0: Fraction(1)}
 
 
 def bernoulli(k: int) -> Fraction:
@@ -47,9 +49,9 @@ def bernoulli(k: int) -> Fraction:
     while len(_bern) <= k:
         n = len(_bern)
         acc = Fraction(0)
-        for i, b in enumerate(_bern):
-            acc += comb(n + 1, i) * b
-        _bern.append(-acc / (n + 1))
+        for i in range(n):
+            acc += comb(n + 1, i) * _bern[i]
+        _bern.setdefault(n, -acc / (n + 1))
     return _bern[k]
 
 

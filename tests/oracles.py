@@ -3,7 +3,8 @@
 Nothing here calls into the package's own arithmetic.  Bernoulli numbers
 are solved from the defining series product with plain list arithmetic,
 correction constants come from an explicit polynomial product, the
-exponential of a bivariate series from plain dict products, partition
+product and the exponential of bivariate series from plain dict loops
+over every pair of terms, partition
 counts from the classic DP table, boundary divisors from brute force
 over all (h, subset) pairs, and binomial expansions from literal
 enumeration of the 2^k factor choices.  When a package value and an
@@ -57,6 +58,23 @@ def correction_table(mmax: int, with_constant_term: bool = False) -> dict[int, F
         table[m] = sum((left[i] * right[m - i] for i in range(m + 1)),
                        Fraction(0))
     return table
+
+
+def series_product(order: int, a: dict[tuple[int, int], Fraction],
+                   b: dict[tuple[int, int], Fraction],
+                   cross_zero: bool = False) -> dict[tuple[int, int], Fraction]:
+    """The truncated product of two bivariate series given as
+    {(i, j): coefficient}: every pair of terms is multiplied, and a pair
+    above the order, or mixed (i >= 1 and j >= 1) under cross_zero, is
+    dropped only afterwards.  Zero coefficients are left out."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            i, j = i1 + i2, j1 + j2
+            if i + j > order or cross_zero and i >= 1 and j >= 1:
+                continue
+            out[(i, j)] = out.get((i, j), Fraction(0)) + c1 * c2
+    return {key: c for key, c in out.items() if c}
 
 
 def series_exp(order: int, coeffs: dict[tuple[int, int], Fraction],

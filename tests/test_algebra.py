@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from oracles import FIVE_SPECS, boundary_class_count
 from tautchern import algebra
+from tautchern.partitions import partition_chern_coeff, partitions
 from tautchern import (
     DomainError,
     Gen,
@@ -886,6 +887,66 @@ def test_power_equals_naive_fold(exprs, data):
     e = data.draw(exprs)
     k = data.draw(st.integers(0, 6))
     assert e ** k == reference_sum_of_products(e.spec, e.order, [(Fraction(1), (), [e] * k)])
+
+
+def _shared_prefix_groups(spec: ModuliSpec, order: int):
+    """Fixed kernel groups whose chains share prefixes within and across
+    groups: one group per class j <= order of chern_from_ch's partition
+    chains over the cotangent character (decreasing parts, so (3, 2, 1)
+    extends (3, 2)), chern_exp_oracle's powers [ch_1] * k seeded by
+    kappa_1, one chain twice in a group, and a chain that only a later
+    group repeats."""
+    ch = ch_cotangent(spec, order)
+    parts = [ch.component(d) for d in range(1, order + 1)]
+    groups = [[(partition_chern_coeff(mu), (), [parts[r - 1] for r in mu])
+               for mu in partitions(j)] for j in range(1, order + 1)]
+    seed = monomial(kappa(1))
+    groups.append([(Fraction(1, factorial(k)), seed, [parts[0]] * k) for k in range(order)])
+    groups.append([(Fraction(-2, 3), seed, parts[:2]), (Fraction(5), seed, parts[:2]),
+                   (Fraction(1, 7), (), [parts[1], parts[0], parts[0]])])
+    return ch, groups
+
+
+def _unshared(groups):
+    """The same groups with every factor an equal copy, a distinct object,
+    so no two chains share a factor."""
+    return [[(c, m, [TautExpr(f.spec, f.order, f.terms) for f in fs]) for c, m, fs in g]
+            for g in groups]
+
+
+def _counting_times(monkeypatch):
+    calls = []
+    real = algebra._times
+    monkeypatch.setattr(algebra, "_times", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("spec,order", [(SPEC21, 5), (ModuliSpec(0, default_labels(5), True), 3)],
+                         ids=["generic", "concrete"])
+def test_shared_prefixes_equal_unshared_products(monkeypatch, spec, order):
+    """Sharing a prefix changes only how often it is formed: the kernel
+    gives each group the value of the naive fold, with or without shared
+    factor objects, and forms fewer products when they are shared."""
+    ch, groups = _shared_prefix_groups(spec, order)
+    calls = _counting_times(monkeypatch)
+    shared = algebra.sums_of_products(ch.spec, order, groups)
+    shared_calls = len(calls)
+    unshared = algebra.sums_of_products(ch.spec, order, _unshared(groups))
+    assert shared == unshared
+    assert shared_calls < len(calls) - shared_calls
+    monkeypatch.undo()
+    assert shared == [reference_sum_of_products(ch.spec, order, g) for g in groups]
+    assert shared[-2] == algebra.sum_of_products(ch.spec, order, groups[-2])
+
+
+def test_group_without_products_gives_zero():
+    e = ch_cotangent(SPEC21, 4)
+    zero = TautExpr.zero(SPEC21, 4)
+    assert algebra.sums_of_products(SPEC21, 4, []) == []
+    assert algebra.sums_of_products(SPEC21, 4, [[], [(Fraction(2), (), [e])], iter([])]) == [
+        zero, e.scale(2), zero]
+    assert algebra.sums_of_products(SPEC21, 4, [[(Fraction(0), (), [e, e])]]) == [zero]
+    assert algebra.sum_of_products(SPEC21, 4, []) == zero
 
 
 def test_lambda_basis_multiplies_only_rewritten_terms(monkeypatch):

@@ -8,7 +8,7 @@ from math import comb, factorial, lcm
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import bernoulli_list, series_exp
+from oracles import bernoulli_list, series_exp, series_product
 from tautchern import (
     BiSeries,
     DomainError,
@@ -25,6 +25,7 @@ from tautchern import (
     todd_dual_inverse_pair,
     todd_reciprocal,
 )
+from tautchern.biseries import _node_sheaf_times_todds
 
 
 # ------------------------------------------------------------------ the ring
@@ -78,6 +79,13 @@ def test_variable_and_coeff():
     assert d1.coeff(0, 1) == 0
     with pytest.raises(DomainError):
         BiSeries.variable(3, 0)
+
+
+@pytest.mark.parametrize("index", [True, 1.0, 2.0, "1"])
+def test_variable_index_must_be_an_int(index):
+    """A bool or a float equal to 1 or 2 is refused at the call."""
+    with pytest.raises(DomainError):
+        BiSeries.variable(3, index)
 
 
 def test_exp_pinned():
@@ -246,6 +254,14 @@ def test_marked_point_reference_plus_tail():
         marked_point_reference(6, tail_sign=0)
 
 
+@pytest.mark.parametrize("tail_sign", [True, 1.0, -1.0, Fraction(1)])
+def test_marked_point_reference_tail_sign_must_be_an_int(tail_sign):
+    """Refused at the call, not later in BiSeries.build; a bool would
+    otherwise pass as +1."""
+    with pytest.raises(DomainError, match="tail sign"):
+        marked_point_reference(4, tail_sign)
+
+
 @pytest.mark.parametrize("order", range(3, 13))
 def test_marked_point_plus_tail_matches_product(order):
     assert check_marked_point(order, tail_sign=1)
@@ -342,6 +358,63 @@ def test_inverse_equals_reference(pair):
 def test_node_sheaf_product_equals_reference():
     a, b = structure_sheaf_pair_ch(24), todd_dual_inverse_pair(24)
     assert a * b == reference_mul(a, b)
+
+
+def _pure(order: int, index: int, shift: int = 0) -> dict:
+    """A dense series in one variable, from degree shift up."""
+    return {((k, 0) if index == 1 else (0, k)): Fraction((-1) ** k * (k + 2), factorial(k + 1))
+            for k in range(shift, order + 1)}
+
+
+def _mixed(order: int) -> dict:
+    return {(i, j): Fraction(i - 2 * j + 1, 1 + i * j) for i in range(order + 1)
+            for j in range(order + 1 - i) if i - 2 * j + 1}
+
+
+# (left, right) operand data of the packed-key product, each built under
+# the case's quotient flag: a constant on either side, pure D1 times pure
+# D2, a mixed series (whose mixed terms the quotient drops), and
+# constant + D1 times D2 alone.
+_PRODUCT_CASES = {
+    "constant-left": lambda k: ({(0, 0): Fraction(-3, 7)}, _mixed(k)),
+    "constant-right": lambda k: (_mixed(k), {(0, 0): Fraction(5, 2)}),
+    "d1-times-d2": lambda k: (_pure(k, 1, 1), _pure(k, 2, 1)),
+    "mixed": lambda k: (_mixed(k), _mixed(k)),
+    "constant-d1-times-d2": lambda k: (_pure(k, 1), _pure(k, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PRODUCT_CASES))
+@pytest.mark.parametrize("cross_zero", [False, True])
+@pytest.mark.parametrize("order", [0, 1, 5, 12])
+def test_packed_product_equals_all_pairs_oracle(case, cross_zero, order):
+    left, right = _PRODUCT_CASES[case](order)
+    a = BiSeries.build(order, left, cross_zero)
+    b = BiSeries.build(order, right, cross_zero)
+    got = a * b
+    assert got.as_dict() == series_product(order, a.as_dict(), b.as_dict(), cross_zero)
+    assert [key for key, _ in got.coeffs] == sorted(got.as_dict())
+    assert all(type(i) is int and type(j) is int for (i, j), _ in got.coeffs)
+
+
+@pytest.mark.parametrize("order", [1, 5, 12])
+def test_quotient_product_drops_mixed_operand_terms(order):
+    """Mixed terms put into a quotient series directly (not through build)
+    meet nothing: every product they take part in is mixed."""
+    data = {**_pure(order, 1), **_pure(order, 2, 1), **_mixed(order)}
+    a = BiSeries(order, True, tuple(sorted(data.items())))
+    b = BiSeries.build(order, {**_pure(order, 2), **_pure(order, 1, 1)}, cross_zero=True)
+    want = series_product(order, data, b.as_dict(), cross_zero=True)
+    assert (a * b).as_dict() == want
+    assert (b * a).as_dict() == want
+
+
+@pytest.mark.parametrize("order", range(4, 13))
+def test_node_check_left_side_is_the_sheaf_times_the_todd_factor(order):
+    """The node check multiplies the sheaf character in as its univariate
+    factors; that is the bivariate product it stands for."""
+    lhs = _node_sheaf_times_todds(node_correction_series(order))
+    assert lhs == structure_sheaf_pair_ch(order) * todd_dual_inverse_pair(order)
 
 
 def test_unit_todd_inverse_equals_reference():

@@ -171,12 +171,24 @@ def test_verify_passes_with_expected_note(capsys):
     assert lines[-1] == "8 of 8 gating checks passed"
 
 
+def test_verify_stdout_pinned(capsys):
+    """Every check line, the note and the summary, pinned by the sha256 of
+    the whole stdout at the default order."""
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "16cb03e61b4f7f4ffbe86ceabc646c3cdb239a744b3f44b6edf9b91c7176fd17")
+
+
 def test_verify_injected_fault_fails(capsys):
+    """The fault flips one sign of the node correction series, so the node
+    check is the one gating check that fails."""
     code, out, _ = run(capsys, "verify", "--inject-fault")
     assert code == 1
     assert "7 of 8 gating checks passed" in out
-    assert any(ln.endswith(": FAIL") and ln.startswith("check ")
-               for ln in out.splitlines())
+    failed = [ln for ln in out.splitlines() if ln.startswith("check ") and ln.endswith(": FAIL")]
+    assert failed == ["check node sheaf character times inverse dual todd equals the node "
+                      "correction series (order 12): FAIL"]
 
 
 def test_verify_order_domain(capsys):

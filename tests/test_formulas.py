@@ -37,6 +37,8 @@ from tautchern import (
     kappa_coefficient,
     kappa_tilde,
     kappa_tilde_rewrite,
+    partition_chern_coeff,
+    partitions,
     power_sym,
     psi_power_sum,
     rank,
@@ -285,6 +287,43 @@ def test_chern_conversion_on_random_characters():
     for _ in range(20):
         ch = random_graded_character(rng, SPEC21, 5)
         assert chern_from_ch(ch, 5) == chern_exp_oracle(ch, 5)
+
+
+def _partition_fold(ch, jmax):
+    """c_j as the sum over partitions mu of j of partition_chern_coeff(mu)
+    times the product of the ch_r, one class and one product at a time."""
+    spec, order = ch[1].spec, ch[1].order
+    out = []
+    for j in range(1, jmax + 1):
+        c = TautExpr.zero(spec, order)
+        for mu in partitions(j):
+            piece = TautExpr.one(spec, order).scale(partition_chern_coeff(mu))
+            for r in mu:
+                piece = piece * ch[r]
+            c = c + piece
+        out.append(c)
+    return out
+
+
+def _inhomogeneous_character():
+    """Components that are not homogeneous and carry constant terms, so
+    products do not raise the degree and the truncation cuts inside a
+    partition product."""
+    k1, k2, d = kappa(1), kappa(2), delta_class()
+    items = {1: [((), 2), ((k1,), Fraction(-1, 3)), ((d, d), 1)],
+             2: [((), Fraction(1, 5)), ((k2,), 3), ((k1, d), Fraction(7, 2))],
+             3: [((), -1), ((hodge_component(1),), Fraction(1, 4)), ((k2, k1), 2)],
+             4: [((), Fraction(5, 6)), ((kappa(4),), 1)]}
+    return {r: TautExpr.build(SPEC21, 4, terms) for r, terms in items.items()}
+
+
+@pytest.mark.parametrize("ch,jmax", [
+    (ch_bundle(SPEC21, 6).components(), 6),
+    (ch_bundle(ModuliSpec(0, default_labels(5), concrete=True), 2).components(), 2),
+    (_inhomogeneous_character(), 4),
+], ids=["generic-2-1", "concrete-0-5", "inhomogeneous"])
+def test_chern_conversion_equals_partition_fold(ch, jmax):
+    assert chern_from_ch(ch, jmax) == _partition_fold(ch, jmax)
 
 
 def test_line_bundle_has_no_higher_classes():

@@ -45,6 +45,14 @@ def test_partitions_rejects_nonpositive():
             list(partitions(j))
 
 
+@pytest.mark.parametrize("j", [2.0, True, "3", 0, None])
+def test_partitions_refuses_at_the_call(j):
+    """The argument is checked when partitions is called, before anything
+    iterates the result."""
+    with pytest.raises(DomainError):
+        partitions(j)
+
+
 @given(st.integers(min_value=1, max_value=12))
 def test_partitions_parts_are_valid(j):
     for mu in partitions(j):

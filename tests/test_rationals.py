@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 from fractions import Fraction
 from math import factorial
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import bernoulli_list, correction_table
+from tautchern import rationals
 from tautchern import (
     DomainError,
     ModuliSpec,
@@ -104,6 +106,31 @@ def test_bernoulli_cache_is_thread_safe():
         t.join()
     expected = bernoulli_list(60)[60]
     assert results == [expected] * 8
+
+
+def test_bernoulli_cache_from_empty_under_fast_thread_switches(monkeypatch):
+    """Eight threads fill an emptied cache while the interpreter switches
+    threads every microsecond; every thread must read every value right."""
+    monkeypatch.setattr(rationals, "_bern", {0: Fraction(1)})
+    expected = bernoulli_list(70)
+    results = []
+
+    def worker():
+        results.append([bernoulli(k) for k in range(70, -1, -7)])
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[expected[k] for k in range(70, -1, -7)]] * 8
+    assert rationals._bern == dict(enumerate(expected))
 
 
 @pytest.mark.parametrize("m,value", [
