@@ -17,11 +17,12 @@ c * m * f1 * f2 * ... over each group of (c, m, factors) triples;
 sum_of_products is its one-group call.  A per-call table numbers the
 generators in stored order, monomials become sorted int tuples,
 coefficients integer numerators over one lcm per group, and each output
-term costs one Fraction; the table dies with the call.  Chains that start
-with the same monomial and factor objects share the product of that
-prefix, formed once for all groups; a chain that shares nothing runs as
-a lone product.  The collector under +, scale and component also sums
-integer numerators over one lcm.
+term costs one Fraction; the table dies with the call.  One walk over
+the tree of chain prefixes forms the product of each shared prefix (same
+monomial, same factor objects) once for all groups, with no coefficient;
+a chain's numerator enters only where it is added into its total.  The
+collector under +, scale and component also sums integer numerators over
+one lcm.
 """
 
 from __future__ import annotations
@@ -562,8 +563,9 @@ def sums_of_products(spec: ModuliSpec, order: int,
     numerators over its lcm; a group's pieces run over the lcm of their
     denominators.  Chains (m, f1, ..., fk) with the same m and the same
     first factor objects share a prefix, within a group or across groups:
-    the product m * f1 * ... * fi is formed once for all chains that
-    extend it.  A chain that shares nothing runs as a lone product."""
+    one walk over the prefix tree forms m * f1 * ... * fi once for all
+    chains that extend it, and a chain's last product, if no other chain
+    needs it, goes straight into its total scaled by its numerator."""
     cap = _cap(spec, order)
     groups = [[(c, mono, tuple(fs)) for c, mono, fs in products] for products in groups]
     triples = [t for products in groups for t in products]
@@ -602,20 +604,13 @@ def sums_of_products(spec: ModuliSpec, order: int,
                 acc = totals[g][d]
                 acc[mono] = acc.get(mono, 0) + num
 
-    def lone(state, fs, total):
-        """Multiply state, which already holds its chain's coefficient, by
-        the factors fs; the last product writes straight into total."""
-        for i, f in enumerate(fs, 1):
-            out = total if i == len(fs) else [{} for _ in range(cap + 1)]
-            _times(state, read[id(f)][1], out, cap)
-            state = [(k, part) for k, part in enumerate(out) if part]
-
-    def shared(state, chains, depth):
+    def walk(state, chains, depth):
         """Add chains that share their seed and first depth factors into
-        their groups' totals; state is that prefix's product without a
-        coefficient.  A product that two chains extend is formed once and
-        dropped when they are done; a chain that shares nothing further
-        takes its coefficient into state and runs alone."""
+        their groups' totals; state is that prefix's product, without a
+        coefficient.  A chain that ends here is added with its numerator;
+        a factor that one chain alone reaches, as its last, multiplies
+        straight into that chain's total; any other product is formed once
+        and dropped when the chains that extend it are done."""
         after: dict[int, list] = {}
         for chain in chains:
             fs, g, num = chain
@@ -624,21 +619,16 @@ def sums_of_products(spec: ModuliSpec, order: int,
             else:
                 after.setdefault(id(fs[depth]), []).append(chain)
         for key, rest in after.items():
-            if len(rest) == 1:
-                (fs, g, num), = rest
-                lone([(d, {m: n * num for m, n in part.items()}) for d, part in state],
-                     fs[depth:], totals[g])
+            (fs, g, num), *more = rest
+            if not more and len(fs) == depth + 1:
+                _times(state, read[key][1], totals[g], cap, num)
             else:
                 out = [{} for _ in range(cap + 1)]
-                _times(state, read[key][1], out, cap)
-                shared([(k, part) for k, part in enumerate(out) if part], rest, depth + 1)
+                _times(state, read[key][1], out, cap, 1)
+                walk([(k, part) for k, part in enumerate(out) if part], rest, depth + 1)
 
     for (d, mono), chains in seeds.items():
-        if len(chains) == 1:
-            (fs, g, num), = chains
-            lone([(d, {mono: num})], fs, totals[g])
-        else:
-            shared([(d, {mono: 1})], chains, 0)
+        walk([(d, {mono: 1})], chains, 0)
     rank = {i: r for r, i in enumerate(sorted(range(len(table)),
                                               key=lambda i: table[i].display_key()))}
     return [TautExpr(spec, order, tuple(
@@ -656,11 +646,12 @@ def _add(state, num, total) -> None:
             acc[m] = acc.get(m, 0) + num * n
 
 
-def _times(state, groups, out, cap: int) -> None:
-    """Add state ((degree, {int monomial: numerator}) parts) times a factor's
-    degree groups into out; a part of degree d meets groups up to cap - d."""
+def _times(state, groups, out, cap: int, num: int) -> None:
+    """Add num times state ((degree, {int monomial: numerator}) parts) times
+    a factor's degree groups into out; a part of degree d meets groups up
+    to cap - d.  num scales the state's entries, not the pairs."""
     for d1, part in state:
-        left = list(part.items())
+        left = list(part.items()) if num == 1 else [(m, n * num) for m, n in part.items()]
         for d2 in range(cap - d1 + 1):
             acc = out[d1 + d2]
             for m2, n2 in groups[d2]:

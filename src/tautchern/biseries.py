@@ -112,35 +112,28 @@ class BiSeries:
 
         Inside the product the pair (i, j) is the int i*(order+1) + j; as
         j1 + j2 <= order, a product's key is the sum of its factors' keys,
-        and packed keys sort as pairs do.  Under the quotient the right
-        operand is split by variable once, so no pair tests D1*D2 = 0: a
-        pure D1 term meets only right terms without D2, a pure D2 term only
-        those without D1, a constant only pure terms, a mixed term none.
+        and packed keys sort as pairs do.  Both quotient flags run the same
+        pair loop; under the quotient the mixed keys are then dropped once.
+        This is exact, as R -> R/(D1*D2) is a ring map and a mixed term
+        only ever gives mixed products.
         """
         self._check_compatible(other)
-        order, cross_zero, width = self.order, self.cross_zero, self.order + 1
+        order, width = self.order, self.order + 1
         d1, left = _numerators(self.coeffs)
         d2, right = _numerators(other.coeffs)
-        if cross_zero:
-            no_d2 = _packed_by_degree(order, [t for t in right if not t[0][1]])
-            no_d1 = _packed_by_degree(order, [t for t in right if not t[0][0]])
-            pure = _packed_by_degree(order, [t for t in right if not (t[0][0] and t[0][1])])
-        else:
-            every = _packed_by_degree(order, right)
+        groups: list[list[tuple[int, int]]] = [[] for _ in range(width)]
+        for (i, j), n in right:
+            groups[i + j].append((i * width + j, n))
         acc: dict[int, int] = {}
         for (i1, j1), n1 in left:
-            if not cross_zero:
-                groups = every
-            elif i1 and j1:
-                continue
-            else:
-                groups = no_d2 if i1 else no_d1 if j1 else pure
             p1 = i1 * width + j1
             for group in groups[:order - i1 - j1 + 1]:
                 for p2, n2 in group:
                     acc[p1 + p2] = acc.get(p1 + p2, 0) + n1 * n2
+        if self.cross_zero:
+            acc = {p: n for p, n in acc.items() if p < width or p % width == 0}
         den = d1 * d2
-        return BiSeries(order, cross_zero, tuple(
+        return BiSeries(order, self.cross_zero, tuple(
             (divmod(p, width), Fraction(n, den)) for p, n in sorted(acc.items()) if n))
 
     def inverse(self) -> "BiSeries":
@@ -200,15 +193,6 @@ def _numerators(coeffs) -> tuple[int, list[tuple[tuple[int, int], int]]]:
     return den, [(key, c.numerator * (den // c.denominator)) for key, c in coeffs]
 
 
-def _packed_by_degree(order: int, terms) -> list[list[tuple[int, int]]]:
-    """(i*(order+1) + j, numerator) for each ((i, j), numerator) term,
-    grouped by the degree i + j."""
-    groups: list[list[tuple[int, int]]] = [[] for _ in range(order + 1)]
-    for (i, j), n in terms:
-        groups[i + j].append((i * (order + 1) + j, n))
-    return groups
-
-
 def _univariate(order: int, index: int, fn,
                 cross_zero: bool = False) -> BiSeries:
     """Series in the chosen variable alone, with coefficient fn(k) on D^k."""
@@ -222,12 +206,10 @@ def _one_minus_exp_neg_over_t(k: int) -> Fraction:
     return Fraction((-1) ** k, factorial(k + 1))
 
 
-def one_minus_exp_neg(order: int, index: int,
-                      cross_zero: bool = False) -> BiSeries:
+def one_minus_exp_neg(order: int, index: int) -> BiSeries:
     """1 - e^(-D) in the chosen variable."""
     return _univariate(order, index,
-                       lambda k: _one_minus_exp_neg_over_t(k - 1) if k else 0,
-                       cross_zero)
+                       lambda k: _one_minus_exp_neg_over_t(k - 1) if k else 0)
 
 
 def structure_sheaf_pair_ch(order: int) -> BiSeries:

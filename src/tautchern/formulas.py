@@ -31,6 +31,7 @@ from .algebra import (
     Gen,
     ModuliSpec,
     TautExpr,
+    _cap,
     _check_compatible,
     delta_as_atoms,
     delta_class,
@@ -116,8 +117,7 @@ def ch_cotangent(spec: ModuliSpec, order: int) -> TautExpr:
     """Graded Chern character of the cotangent bundle, degrees 1..order."""
     check_int(order, 1, "character order")
     items: list[tuple[tuple, Fraction]] = []
-    top = min(order, spec.dimension) if spec.concrete else order
-    for d in range(1, top + 1):
+    for d in range(1, _cap(spec, order) + 1):
         items.append(((kappa(d),), kappa_coefficient(d)))
         if d % 2 == 1:
             items.append(((hodge_component(d),), Fraction(1)))
@@ -191,14 +191,8 @@ def kappa_tilde_rewrite(e: TautExpr, direction: str = "expand") -> TautExpr:
         source, target, sign = KAPPA, kappa_tilde, 1
     else:
         raise DomainError(f"unknown rewrite direction {direction!r}")
-    rules = {}
-    for mono, _ in e.terms:
-        for g in mono:
-            if g.kind == source and g not in rules:
-                m = g.args[0]
-                rules[g] = TautExpr.build(e.spec, e.order, [
-                    ((target(m),), 1), ((psi_power_sum(m),), sign)])
-    return e.substitute(rules)
+    return e.map_generators(lambda g: None if g.kind != source else TautExpr.build(
+        e.spec, e.order, [((target(g.args[0]),), 1), ((psi_power_sum(g.args[0]),), sign)]))
 
 
 def psi_total(spec: ModuliSpec, order: int) -> TautExpr:

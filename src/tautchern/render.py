@@ -329,7 +329,8 @@ def expr_from_json_dict(doc: dict) -> TautExpr:
     mode = doc.get("mode", "generic")
     if mode not in ("generic", "concrete"):
         raise DomainError(f"mode must be 'generic' or 'concrete', got {mode!r}")
-    labels = _expect(doc.get("labels") or list(default_labels(n)), list, "labels")
+    labels = (_expect(doc["labels"], list, "labels") if "labels" in doc
+              else list(default_labels(n)))
     if len(labels) != n:
         raise DomainError(f"label list has {len(labels)} entries but n = {n}")
     spec = ModuliSpec(g, tuple(labels), concrete=(mode == "concrete"))

@@ -151,6 +151,17 @@ def test_malformed_labels_exit_two(capsys, labels):
     assert "marking label" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("ch", "--g", "2", "--n", "-1", "--degree", "1"), "marking count must be >= 0, got -1"),
+    (("ch", "--g", "2", "--n", "1", "--degree", "-1"), "degree must be >= 0, got -1"),
+    (("chern", "--g", "2", "--n", "1", "--jmax", "-1"), "jmax must be >= 0, got -1"),
+])
+def test_negative_count_exits_two(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

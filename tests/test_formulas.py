@@ -343,6 +343,8 @@ def test_chern_conversion_validates():
     with pytest.raises(DomainError):
         chern_from_ch(ch, -1)
     with pytest.raises(DomainError):
+        chern_from_ch([ch[1]], 1)
+    with pytest.raises(DomainError):
         chern_exp_oracle({1: ch[1]}, 2)
 
 

@@ -325,6 +325,8 @@ SEP_DOC = json.dumps({
     pytest.param(json.dumps([1, 2]), id="not-an-object"),
     pytest.param(_mutated(("labels",), ["p1", "p2"]), id="label-count"),
     pytest.param(_mutated(("labels",), [1]), id="label-not-str"),
+    *[pytest.param(_mutated(("labels",), value), id=f"labels-{value!r}")
+      for value in ([], "", 0, False, None, {})],
     pytest.param(_mutated(("mode",), "weird"), id="unknown-mode"),
     pytest.param(_mutated(("g",), "x"), id="genus-not-int"),
     pytest.param(_mutated(("g",), True), id="genus-bool"),
@@ -333,6 +335,7 @@ SEP_DOC = json.dumps({
     pytest.param(_mutated(("terms", 0, "coeff"), "x"), id="coeff-not-rational"),
     pytest.param(_mutated(("terms", 0, "coeff"), "1/0"), id="coeff-zero-denominator"),
     pytest.param(_mutated(("terms", 0, "coeff"), 0.5), id="coeff-float"),
+    pytest.param(_mutated(("terms", 0, "coeff"), True), id="coeff-bool"),
     pytest.param(_mutated(("terms", 0, "monomial", 0, "gen"), "mystery"), id="unknown-gen"),
     pytest.param(_mutated(("terms", 0, "monomial", 0, "gen"), ["kappa"]), id="gen-not-str"),
     pytest.param(_mutated(("terms", 0, "monomial", 0), {"gen": "kappa"}), id="missing-args"),
@@ -344,6 +347,18 @@ SEP_DOC = json.dumps({
 def test_json_parse_errors(text):
     with pytest.raises(DomainError):
         expr_from_json(text)
+
+
+def test_json_defaults_and_integer_coefficients():
+    """Default labels only when the key is absent; an empty list is kept
+    for n = 0; an integer coefficient is exact."""
+    doc = _mutate(render_json_dict(canonical_class(ModuliSpec(2, default_labels(2)))),
+                  ("labels",))
+    assert expr_from_json(json.dumps(doc)).spec.labels == ("p1", "p2")
+    e = canonical_class(ModuliSpec(2, ()))
+    assert expr_from_json(render(e, "json")) == e
+    doc = _mutate(render_json_dict(e), ("terms", 0, "coeff"), -3)
+    assert expr_from_json(json.dumps(doc)).terms[0][1] == -3
 
 
 # Documents to mutate: generic, and concrete with named atoms and psi.
