@@ -397,11 +397,20 @@ class TautExpr:
         Zero coefficients, terms above the truncation order, terms above
         the dimension (concrete mode only), and monomials that vanish
         identically (psi sums with no markings, irreducible atoms in
-        genus 0) are all dropped.
+        genus 0) are all dropped.  An item that is not a pair, or a factor
+        that is not a Gen, is refused.
         """
         check_int(order, 0, "truncation order")
         checked = []
-        for gens, coeff in items:
+        for item in items:
+            try:
+                gens, coeff = item
+                gens = tuple(gens)
+            except (TypeError, ValueError):
+                raise DomainError(f"expression items must be (generators, coefficient) "
+                                  f"pairs, got {item!r}") from None
+            if not all(isinstance(g, Gen) for g in gens):
+                raise DomainError(f"monomial factors must be Gen, got {gens!r}")
             q = _exact(coeff)
             if q == 0:
                 continue

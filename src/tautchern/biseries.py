@@ -48,6 +48,8 @@ class BiSeries:
         cross_zero, are dropped.  A mapping's keys are unique, so the kept
         terms are only sorted, never summed."""
         check_int(order, 0, "series order")
+        if not isinstance(data, Mapping):
+            raise DomainError(f"series data must be a mapping, got {type(data).__name__}")
         kept = []
         for key, c in data.items():
             if not isinstance(key, tuple) or len(key) != 2:

@@ -31,6 +31,7 @@ from .biseries import (
     todd_reciprocal,
 )
 from .formulas import (
+    BUNDLES,
     canonical_class,
     ch_bundle,
     ch_cotangent,
@@ -38,12 +39,11 @@ from .formulas import (
     chern_exp_oracle,
     chern_from_ch,
     kappa_coefficient,
-    rank,
     to_lambda_basis,
 )
 from .partitions import partitions
 from .rationals import DomainError, bernoulli, format_rational, kappa_correction
-from .render import render
+from .render import FORMATS, render
 
 VERIFY_SPECS = ((0, 4), (1, 1), (2, 0), (2, 1), (3, 2))
 
@@ -66,15 +66,11 @@ def cmd_ch(args) -> int:
     spec = _spec_from_args(args)
     if args.degree < 0:
         raise DomainError(f"degree must be >= 0, got {args.degree}")
-    if args.degree == 0:
-        if args.format == "json":
-            print(json.dumps({"rank": rank(spec, args.bundle)}, indent=2))
-        else:
-            print(f"deg 0: rank = {rank(spec, args.bundle)}")
-        return 0
     result = ch_bundle(spec, args.degree, args.bundle, args.basis)
     if args.format == "json":
-        print(render(result.graded, "json"))
+        # Degree 0 has no graded part, so its document is the rank alone.
+        print(json.dumps({"rank": result.rank}, indent=2) if args.degree == 0
+              else render(result.graded, "json"))
         return 0
     print(f"deg 0: rank = {result.rank}")
     for d in range(1, args.degree + 1):
@@ -221,13 +217,11 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
                    help="number of markings (labels auto-named p1..pn)")
     p.add_argument("--labels", type=str, default=None,
                    help="comma separated marking labels (alternative to --n)")
-    p.add_argument("--bundle", choices=("cotangent", "tangent"),
-                   default="cotangent")
+    p.add_argument("--bundle", choices=BUNDLES, default="cotangent")
     p.add_argument("--basis", choices=("kappa", "lambda"), default="kappa")
     p.add_argument("--mode", choices=("generic", "concrete"),
                    default="generic")
-    p.add_argument("--format", choices=("text", "latex", "json"),
-                   default="text")
+    p.add_argument("--format", choices=FORMATS, default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,7 @@ Degree-d structure of the cotangent expansion:
               the irreducible and the separating boundary maps.
 
 The degree-0 part is the rank 3g-3+n and is reported separately, never
-as a term of the graded expression.
+as a term of the graded expression; order 0 is the zero expression.
 """
 
 from __future__ import annotations
@@ -114,8 +114,9 @@ def _boundary_items(spec: ModuliSpec, shapes: SymPoly2, scalar: Fraction):
 
 
 def ch_cotangent(spec: ModuliSpec, order: int) -> TautExpr:
-    """Graded Chern character of the cotangent bundle, degrees 1..order."""
-    check_int(order, 1, "character order")
+    """Graded Chern character of the cotangent bundle, degrees 1..order;
+    order 0 gives the zero expression."""
+    check_int(order, 0, "character order")
     items: list[tuple[tuple, Fraction]] = []
     for d in range(1, _cap(spec, order) + 1):
         items.append(((kappa(d),), kappa_coefficient(d)))
@@ -135,50 +136,42 @@ def ch_tangent(spec: ModuliSpec, order: int) -> TautExpr:
     return dualize(ch_cotangent(spec, order))
 
 
-def _hodge_component_items(spec: ModuliSpec, m: int,
-                           half_includes_kappa: bool):
-    """Terms of ch_{2m-1} of the Hodge bundle.
+def hodge_ch(spec: ModuliSpec, order: int,
+             half_includes_kappa: bool = False) -> TautExpr:
+    """Chern character of the Hodge bundle, degrees 1..order: expand_hodge
+    of the sum of ch_k(E) over odd k <= order.
 
-    The prefactor B_{2m}/(2m)! multiplies kappa~_{2m-1} plus half the
+    Only odd degrees carry terms; the rank g is reported by rank().
+    The kappa~ generators can be rewritten through kappa_tilde_rewrite.
+    """
+    check_int(order, 0, "character order")
+    generators = TautExpr.build(spec, order, [((hodge_component(k),), 1)
+                                              for k in range(1, order + 1, 2)])
+    return expand_hodge(generators, half_includes_kappa)
+
+
+def expand_hodge(e: TautExpr, half_includes_kappa: bool = False) -> TautExpr:
+    """Replace each ch_k(E) generator by its kappa~/boundary expansion.
+
+    The prefactor B_{k+1}/(k+1)! multiplies kappa~_k plus half the
     boundary pushforwards of the alternating symmetric polynomial of
-    degree 2m-2.  With half_includes_kappa the 1/2 covers the kappa~
+    degree k-1.  With half_includes_kappa the 1/2 covers the kappa~
     term as well; that reading breaks the degree-1 identity
     lambda = (kappa_1 - psi + delta)/12 and is kept only so the
     inconsistency can be demonstrated.
     """
     if type(half_includes_kappa) is not bool:
         raise DomainError(f"half_includes_kappa must be a bool, got {half_includes_kappa!r}")
-    pref = bernoulli(2 * m) / factorial(2 * m)
-    kappa_c = pref / 2 if half_includes_kappa else pref
-    return ([((kappa_tilde(2 * m - 1),), kappa_c)]
-            + _boundary_items(spec, alternating_sym(2 * m - 2), pref / 2))
-
-
-def hodge_ch(spec: ModuliSpec, order: int,
-             half_includes_kappa: bool = False) -> TautExpr:
-    """Chern character of the Hodge bundle, degrees 1..order.
-
-    Only odd degrees 2m-1 carry terms; the rank g is reported by rank().
-    The kappa~ generators can be rewritten through kappa_tilde_rewrite.
-    """
-    check_int(order, 0, "character order")
-    items: list[tuple[tuple, Fraction]] = []
-    m = 1
-    while 2 * m - 1 <= order:
-        items.extend(_hodge_component_items(spec, m, half_includes_kappa))
-        m += 1
-    return TautExpr._collect(spec, order, items)
-
-
-def expand_hodge(e: TautExpr, half_includes_kappa: bool = False) -> TautExpr:
-    """Replace each ch_k(E) generator by its kappa~/boundary expansion."""
 
     def fn(g):
         if g.kind == CHE:
-            m = (g.args[0] + 1) // 2
+            k = g.args[0]
+            pref = bernoulli(k + 1) / factorial(k + 1)
+            kappa_c = pref / 2 if half_includes_kappa else pref
             return TautExpr._collect(
                 e.spec, e.order,
-                _hodge_component_items(e.spec, m, half_includes_kappa))
+                [((kappa_tilde(k),), kappa_c)]
+                + _boundary_items(e.spec, alternating_sym(k - 1), pref / 2))
 
     return e.map_generators(fn)
 
@@ -326,7 +319,5 @@ def ch_bundle(spec: ModuliSpec, order: int, bundle: str = "cotangent",
 def chern_classes(spec: ModuliSpec, jmax: int, bundle: str = "cotangent",
                   basis: str = "kappa") -> tuple[int, list[TautExpr]]:
     """Rank and the Chern classes c_1..c_jmax of the chosen bundle."""
-    if jmax == 0:
-        return rank(spec, bundle), []
     result = ch_bundle(spec, jmax, bundle, basis)
     return result.rank, chern_from_ch(result.components(), jmax)

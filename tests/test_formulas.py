@@ -127,8 +127,26 @@ def test_cotangent_degree_three_structure():
 
 
 def test_cotangent_order_domain():
+    """Order 0 is the zero expression, with the rank reported beside it."""
+    assert ch_cotangent(SPEC21, 0) == TautExpr.zero(SPEC21, 0)
+    assert ch_bundle(SPEC21, 0).rank == SPEC21.dimension
+    for order in (-1, 1.0, True):
+        with pytest.raises(DomainError):
+            ch_cotangent(SPEC21, order)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: chern_classes(SPEC21, 0.0), id="float-jmax"),
+    pytest.param(lambda: chern_classes(SPEC21, False), id="bool-jmax"),
+    pytest.param(lambda: chern_classes(SPEC21, 0, basis="bogus"), id="unknown-basis"),
+    pytest.param(lambda: chern_classes(SPEC21, 0, "hodge"), id="unknown-bundle"),
+    pytest.param(lambda: hodge_ch(SPEC21, 0, half_includes_kappa="no"), id="hodge-switch"),
+])
+def test_degree_zero_checks_like_degree_one(call):
+    """Degree 0 takes the same path as any other order, so it refuses what
+    degree 1 refuses."""
     with pytest.raises(DomainError):
-        ch_cotangent(SPEC21, 0)
+        call()
 
 
 def test_tangent_negates_odd_degrees():

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from oracles import bernoulli_list, correction_table
 from tautchern import rationals
 from tautchern import (
+    BiSeries,
     DomainError,
     ModuliSpec,
     TautExpr,
@@ -29,6 +30,7 @@ from tautchern import (
     marked_point_reference,
     partitions,
     power_sym,
+    render,
     structure_sheaf_pair_ch,
     todd_reciprocal,
 )
@@ -225,6 +227,11 @@ _INT_ARGUMENTS = [
                  id="chern_from_ch(non-TautExpr)"),
     pytest.param(lambda ch: chern_exp_oracle(ch, 2), {1: 5, 2: 6},
                  id="chern_exp_oracle(non-TautExpr)"),
+    *[pytest.param(lambda items: TautExpr.build(_SPEC, 1, items), items, id=f"build({name})")
+      for name, items in [("non-Gen", [(("kappa",), 1)]), ("one-element item", [(kappa(1),)]),
+                          ("non-pair item", [5]), ("non-iterable monomial", [(kappa(1), 1)])]],
+    pytest.param(lambda fmt: render(_CH[1], fmt), ["text"], id="render(unhashable format)"),
+    pytest.param(lambda data: BiSeries.build(3, data), [(0, 0)], id="BiSeries.build(non-mapping)"),
 ])
 def test_bad_arguments_are_domain_errors(call, value):
     """A float, a string or a value below the bound is refused as a

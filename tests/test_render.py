@@ -361,6 +361,23 @@ def test_json_defaults_and_integer_coefficients():
     assert expr_from_json(json.dumps(doc)).terms[0][1] == -3
 
 
+def test_json_reader_key_order():
+    """irr_push and sep_push_sum read as their sorted keys; a sep_push atom
+    is taken as written, so an unsorted key is refused."""
+    def doc(kind, args, mode="generic"):
+        return json.dumps({"g": 2, "n": 0, "degree": 3, "mode": mode, "terms": [
+            {"coeff": "1", "monomial": [{"gen": kind, "args": args}]}]})
+
+    spec = ModuliSpec(2, ())
+    assert expr_from_json(doc("irr_push", [0, 1])) == TautExpr.of(spec, 3, irr_push(1, 0))
+    assert expr_from_json(doc("sep_push_sum", [0, 2])) == TautExpr.of(spec, 3, sep_push_sum(2, 0))
+    concrete = ModuliSpec(2, (), concrete=True)
+    assert (expr_from_json(doc("sep_push", [1, [], 1, 0], "concrete"))
+            == TautExpr.of(concrete, 3, concrete.sep_push(1, (), 1, 0)))
+    with pytest.raises(DomainError):
+        expr_from_json(doc("sep_push", [1, [], 0, 1], "concrete"))
+
+
 # Documents to mutate: generic, and concrete with named atoms and psi.
 MUTATION_BASES = [
     render_json_dict(canonical_class(SPEC21)),
