@@ -9,9 +9,7 @@ from .algebra import (
     ModuliSpec,
     TautExpr,
     default_labels,
-    delta_as_atoms,
     delta_class,
-    expand_concrete,
     hodge_component,
     irr_push,
     kappa,
@@ -46,13 +44,13 @@ from .formulas import (
     chern_classes,
     chern_exp_oracle,
     chern_from_ch,
-    delta_total,
+    delta_as_atoms,
     dualize,
+    expand_concrete,
     expand_hodge,
     hodge_ch,
     kappa_coefficient,
     kappa_tilde_rewrite,
-    psi_total,
     rank,
     to_lambda_basis,
 )

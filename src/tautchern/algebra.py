@@ -31,7 +31,7 @@ import itertools
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
@@ -341,6 +341,8 @@ Monomial = tuple[Gen, ...]
 
 
 def monomial(*gens: Gen) -> Monomial:
+    if not all(isinstance(g, Gen) for g in gens):
+        raise DomainError(f"monomial factors must be Gen, got {gens!r}")
     return tuple(sorted(gens, key=Gen.sort_key))
 
 
@@ -375,7 +377,11 @@ def _monomial_vanishes(mono: Monomial, spec: ModuliSpec) -> bool:
 
 def _cap(spec: ModuliSpec, order: int) -> int:
     """The highest degree an expression keeps: the truncation order, and
-    in concrete mode also the dimension."""
+    in concrete mode also the dimension.  build, _collect, ch_cotangent
+    and the product kernel all pass here, so this is the one check that
+    spec is a ModuliSpec."""
+    if not isinstance(spec, ModuliSpec):
+        raise DomainError(f"expected a ModuliSpec, got {type(spec).__name__}")
     return min(order, spec.dimension) if spec.concrete else order
 
 
@@ -401,6 +407,9 @@ class TautExpr:
         that is not a Gen, is refused.
         """
         check_int(order, 0, "truncation order")
+        _cap(spec, order)  # the spec check, before any generator is validated on it
+        if not isinstance(items, Iterable):
+            raise DomainError(f"expression items must be iterable, got {items!r}")
         checked = []
         for item in items:
             try:
@@ -409,12 +418,10 @@ class TautExpr:
             except (TypeError, ValueError):
                 raise DomainError(f"expression items must be (generators, coefficient) "
                                   f"pairs, got {item!r}") from None
-            if not all(isinstance(g, Gen) for g in gens):
-                raise DomainError(f"monomial factors must be Gen, got {gens!r}")
+            mono = monomial(*gens)
             q = _exact(coeff)
             if q == 0:
                 continue
-            mono = monomial(*gens)
             for g in mono:
                 _validate_gen(g, spec)
             if not _monomial_vanishes(mono, spec):
@@ -520,9 +527,6 @@ class TautExpr:
 
         def split(m, c):
             images = [memo[g] if g in memo else memo.setdefault(g, fn(g)) for g in m]
-            if not all(img is None or isinstance(img, TautExpr) for img in images):
-                raise DomainError("map_generators images must be a TautExpr or None, got "
-                                  f"{[type(img).__name__ for img in images]}")
             return (c, tuple(g for g, img in zip(m, images) if img is None),
                     [img for img in images if img is not None])
 
@@ -533,7 +537,7 @@ class TautExpr:
         if not isinstance(rules, Mapping):
             raise DomainError(f"substitution rules must be a mapping, got {type(rules).__name__}")
         for src, img in rules.items():
-            if not isinstance(src, Gen) or not isinstance(img, TautExpr):
+            if not isinstance(src, Gen):
                 raise DomainError(f"substitution rules map a Gen to a TautExpr, got "
                                   f"{type(src).__name__} -> {type(img).__name__}")
             _check_compatible(self.spec, self.order, img)
@@ -546,8 +550,15 @@ class TautExpr:
         return self.map_generators(rules.get)
 
 
+def check_expr(e) -> TautExpr:
+    """e itself, if it is a TautExpr; anything else is a DomainError."""
+    if not isinstance(e, TautExpr):
+        raise DomainError(f"expected a TautExpr, got {type(e).__name__}")
+    return e
+
+
 def _check_compatible(spec: ModuliSpec, order: int, other: TautExpr) -> None:
-    if spec != other.spec:
+    if spec != check_expr(other).spec:
         raise DomainError("expressions live on different moduli specifications")
     if order != other.order:
         raise DomainError(
@@ -667,48 +678,3 @@ def _times(state, groups, out, cap: int, num: int) -> None:
                 for m1, n1 in left:
                     m = tuple(sorted(m1 + m2))
                     acc[m] = acc.get(m, 0) + n1 * n2
-
-
-def delta_as_atoms(spec: ModuliSpec, order: int) -> TautExpr:
-    """The total boundary class in concrete atoms.
-
-    Half the irreducible pushforward of 1 plus half the ordered sum of
-    separating pushforwards of 1; merging mirror pairs leaves coefficient
-    1 on each two-sided divisor and 1/2 on a self-mirror one.
-    """
-    if not spec.concrete:
-        raise DomainError("concrete boundary expansion needs a concrete specification")
-    check_int(order, 0, "truncation order")
-    items = [((irr_push(0, 0),), Fraction(1, 2))] if spec.genus >= 1 else []
-    items += [((Gen(BSEP, (h, lab, 0, 0)),), Fraction(mult, 2))
-              for h, lab, mult in spec.splitting_classes()]
-    return TautExpr._collect(spec, order, items)
-
-
-def expand_concrete(e: TautExpr) -> TautExpr:
-    """Expand aggregate generators into per-divisor atoms on a concrete spec.
-
-    psi power sums become sums over the named markings, delta becomes the
-    concrete boundary expression, and each aggregate sep pushforward
-    becomes the multiplicity-weighted sum of its canonical atoms.
-    Classes above the dimension are dropped by the concrete truncation.
-    """
-    cspec = replace(e.spec, concrete=True)
-    order = e.order
-
-    def fn(g: Gen) -> TautExpr:
-        if g.kind == PSIPOW:
-            m = g.args[0]
-            return TautExpr._collect(cspec, order,
-                                     [((marked_psi(p),) * m, Fraction(1))
-                                      for p in cspec.labels])
-        if g.kind == DELTA:
-            return delta_as_atoms(cspec, order)
-        if g.kind == BSEPA:
-            a, b = g.args
-            return TautExpr._collect(cspec, order,
-                                     [((Gen(BSEP, (h, lab, a, b)),), Fraction(mult))
-                                      for h, lab, mult in cspec.splitting_classes()])
-
-    # Generators valid on e.spec stay valid on cspec; _collect caps the degree.
-    return TautExpr._collect(cspec, order, e.terms).map_generators(fn)

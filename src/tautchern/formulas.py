@@ -18,22 +18,25 @@ as a term of the graded expression; order 0 is the zero expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 from typing import Mapping
 
 from .algebra import (
     BSEP,
+    BSEPA,
     CHE,
+    DELTA,
     KAPPA,
     KAPPATILDE,
+    PSIPOW,
     Gen,
     ModuliSpec,
     TautExpr,
     _cap,
     _check_compatible,
-    delta_as_atoms,
+    check_expr,
     delta_class,
     hodge_component,
     irr_push,
@@ -113,6 +116,51 @@ def _boundary_items(spec: ModuliSpec, shapes: SymPoly2, scalar: Fraction):
     return items
 
 
+def delta_as_atoms(spec: ModuliSpec, order: int) -> TautExpr:
+    """The total boundary class in concrete atoms.
+
+    Half the irreducible pushforward of 1 plus half the ordered sum of
+    separating pushforwards of 1; merging mirror pairs leaves coefficient
+    1 on each two-sided divisor and 1/2 on a self-mirror one.
+    """
+    if not (isinstance(spec, ModuliSpec) and spec.concrete):
+        raise DomainError("concrete boundary expansion needs a concrete ModuliSpec")
+    check_int(order, 0, "truncation order")
+    items = [((irr_push(0, 0),), Fraction(1, 2))] if spec.genus >= 1 else []
+    items += [((Gen(BSEP, (h, lab, 0, 0)),), Fraction(mult, 2))
+              for h, lab, mult in spec.splitting_classes()]
+    return TautExpr._collect(spec, order, items)
+
+
+def expand_concrete(e: TautExpr) -> TautExpr:
+    """Expand aggregate generators into per-divisor atoms on a concrete spec.
+
+    psi power sums become sums over the named markings, delta becomes the
+    concrete boundary expression, and each aggregate sep pushforward
+    becomes the multiplicity-weighted sum of its canonical atoms.
+    Classes above the dimension are dropped by the concrete truncation.
+    """
+    cspec = replace(check_expr(e).spec, concrete=True)
+    order = e.order
+
+    def fn(g: Gen) -> TautExpr:
+        if g.kind == PSIPOW:
+            m = g.args[0]
+            return TautExpr._collect(cspec, order,
+                                     [((marked_psi(p),) * m, Fraction(1))
+                                      for p in cspec.labels])
+        if g.kind == DELTA:
+            return delta_as_atoms(cspec, order)
+        if g.kind == BSEPA:
+            a, b = g.args
+            return TautExpr._collect(cspec, order,
+                                     [((Gen(BSEP, (h, lab, a, b)),), Fraction(mult))
+                                      for h, lab, mult in cspec.splitting_classes()])
+
+    # Generators valid on e.spec stay valid on cspec; _collect caps the degree.
+    return TautExpr._collect(cspec, order, e.terms).map_generators(fn)
+
+
 def ch_cotangent(spec: ModuliSpec, order: int) -> TautExpr:
     """Graded Chern character of the cotangent bundle, degrees 1..order;
     order 0 gives the zero expression."""
@@ -129,7 +177,7 @@ def ch_cotangent(spec: ModuliSpec, order: int) -> TautExpr:
 
 def dualize(e: TautExpr) -> TautExpr:
     """Chern character of the dual bundle: degree d scaled by (-1)^d."""
-    return e.scale_degrees(-1)
+    return check_expr(e).scale_degrees(-1)
 
 
 def ch_tangent(spec: ModuliSpec, order: int) -> TautExpr:
@@ -173,7 +221,7 @@ def expand_hodge(e: TautExpr, half_includes_kappa: bool = False) -> TautExpr:
                 [((kappa_tilde(k),), kappa_c)]
                 + _boundary_items(e.spec, alternating_sym(k - 1), pref / 2))
 
-    return e.map_generators(fn)
+    return check_expr(e).map_generators(fn)
 
 
 def kappa_tilde_rewrite(e: TautExpr, direction: str = "expand") -> TautExpr:
@@ -184,24 +232,8 @@ def kappa_tilde_rewrite(e: TautExpr, direction: str = "expand") -> TautExpr:
         source, target, sign = KAPPA, kappa_tilde, 1
     else:
         raise DomainError(f"unknown rewrite direction {direction!r}")
-    return e.map_generators(lambda g: None if g.kind != source else TautExpr.build(
+    return check_expr(e).map_generators(lambda g: None if g.kind != source else TautExpr.build(
         e.spec, e.order, [((target(g.args[0]),), 1), ((psi_power_sum(g.args[0]),), sign)]))
-
-
-def psi_total(spec: ModuliSpec, order: int) -> TautExpr:
-    """The degree-1 psi sum: aggregate in generic mode, named in concrete."""
-    if spec.concrete:
-        return TautExpr.build(spec, order,
-                              [((marked_psi(p),), Fraction(1))
-                               for p in spec.labels])
-    return TautExpr.of(spec, order, psi_power_sum(1))
-
-
-def delta_total(spec: ModuliSpec, order: int) -> TautExpr:
-    """The total boundary class in the mode's native generators."""
-    if spec.concrete:
-        return delta_as_atoms(spec, order)
-    return TautExpr.of(spec, order, delta_class())
 
 
 def to_lambda_basis(e: TautExpr) -> TautExpr:
@@ -210,22 +242,25 @@ def to_lambda_basis(e: TautExpr) -> TautExpr:
     Substitutes kappa_1 = 12*lambda + psi - delta; generic mode also
     folds the degree-1 sep aggregate into delta (the defining relation
     delta = half irr + half sep aggregate) in the same pass, as neither
-    image holds the other's source.  Concrete delta is in atom form.
+    image holds the other's source.  Concrete psi and delta are in atom
+    form, through expand_concrete.
     """
-    spec, order = e.spec, e.order
-    rules = {kappa(1): (TautExpr.of(spec, order, hodge_component(1)).scale(12)
-                        + psi_total(spec, order) - delta_total(spec, order))}
+    spec, order = check_expr(e).spec, e.order
+    kappa_1 = TautExpr.build(spec, order, [((hodge_component(1),), 12),
+                                           ((psi_power_sum(1),), 1), ((delta_class(),), -1)])
+    rules = {kappa(1): expand_concrete(kappa_1) if spec.concrete else kappa_1}
     if not spec.concrete:
-        rules[sep_push_sum(0, 0)] = (TautExpr.of(spec, order, delta_class()).scale(2)
-                                     - TautExpr.of(spec, order, irr_push(0, 0)))
+        rules[sep_push_sum(0, 0)] = TautExpr.build(
+            spec, order, [((delta_class(),), 2), ((irr_push(0, 0),), -1)])
     return e.substitute(rules)
 
 
 def canonical_class(spec: ModuliSpec, order: int = 1) -> TautExpr:
-    """13*lambda + psi - 2*delta, in the mode's native generators."""
-    lam = TautExpr.of(spec, order, hodge_component(1))
-    return (lam.scale(13) + psi_total(spec, order)
-            - delta_total(spec, order).scale(2))
+    """13*lambda + psi - 2*delta, in the mode's native generators: built
+    in generic generators, through expand_concrete on a concrete spec."""
+    e = TautExpr.build(spec, order, [((hodge_component(1),), 13),
+                                     ((psi_power_sum(1),), 1), ((delta_class(),), -2)])
+    return expand_concrete(e) if spec.concrete else e
 
 
 def _character(ch: Mapping[int, TautExpr], jmax: int) -> list[TautExpr]:
@@ -238,10 +273,7 @@ def _character(ch: Mapping[int, TautExpr], jmax: int) -> list[TautExpr]:
         raise DomainError(f"missing Chern character components {missing}")
     parts = [ch[j] for j in range(1, jmax + 1)]
     for part in parts:
-        if not isinstance(part, TautExpr):
-            raise DomainError(f"Chern character components must be TautExpr, "
-                              f"got {type(part).__name__}")
-        _check_compatible(parts[0].spec, parts[0].order, part)
+        _check_compatible(check_expr(parts[0]).spec, parts[0].order, part)
     return parts
 
 

@@ -43,6 +43,7 @@ from .algebra import (
     ModuliSpec,
     TautExpr,
     check_args,
+    check_expr,
     default_labels,
     irr_push,
     sep_push_sum,
@@ -255,13 +256,14 @@ def _json_text(e: TautExpr) -> str:
 
 def render_json_dict(e: TautExpr) -> dict:
     """The expression's JSON document as a dict: the writer's text, parsed."""
-    return json.loads(_json_text(e))
+    return json.loads(_json_text(check_expr(e)))
 
 
 def render(e: TautExpr, fmt: str = "text") -> str:
     # A tuple test compares by ==, so an unhashable fmt is refused too.
     if fmt not in FORMATS:
         raise DomainError(f"unknown output format {fmt!r}; expected one of {FORMATS}")
+    check_expr(e)
     if fmt == "json":
         return _json_text(e)
     return _render_terms(e, _SPELLINGS[fmt])
@@ -334,6 +336,6 @@ def expr_from_json_dict(doc: dict) -> TautExpr:
 def expr_from_json(text: str) -> TautExpr:
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
+    except (ValueError, RecursionError, TypeError) as exc:
         raise DomainError(f"invalid JSON: {exc}") from None
     return expr_from_json_dict(doc)

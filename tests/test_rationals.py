@@ -18,20 +18,32 @@ from tautchern import (
     ModuliSpec,
     TautExpr,
     bernoulli,
+    canonical_class,
+    ch_bundle,
     check_todd_bernoulli,
+    chern_classes,
     chern_exp_oracle,
     chern_from_ch,
     default_labels,
+    delta_as_atoms,
+    dualize,
+    expand_concrete,
+    expand_hodge,
+    expr_from_json,
     format_rational,
+    hodge_ch,
     kappa,
     kappa_coefficient,
     kappa_correction,
     kappa_correction_series_table,
+    kappa_tilde_rewrite,
     marked_point_reference,
     partitions,
     power_sym,
     render,
+    render_json_dict,
     structure_sheaf_pair_ch,
+    to_lambda_basis,
     todd_reciprocal,
 )
 from tautchern.rationals import check_int
@@ -232,6 +244,20 @@ _INT_ARGUMENTS = [
                           ("non-pair item", [5]), ("non-iterable monomial", [(kappa(1), 1)])]],
     pytest.param(lambda fmt: render(_CH[1], fmt), ["text"], id="render(unhashable format)"),
     pytest.param(lambda data: BiSeries.build(3, data), [(0, 0)], id="BiSeries.build(non-mapping)"),
+    pytest.param(lambda x: _CH[1] + x, 5, id="TautExpr + int"),
+    pytest.param(lambda x: _CH[1] - x, 5, id="TautExpr - int"),
+    pytest.param(lambda x: _CH[1] * x, 5, id="TautExpr * int"),
+    pytest.param(lambda x: _CH[1].coefficient(x), "x", id="coefficient(non-Gen)"),
+    *[pytest.param(call, 5, id=f"{call.__name__}(non-TautExpr)")
+      for call in (render, render_json_dict, dualize, expand_hodge, kappa_tilde_rewrite,
+                   to_lambda_basis, expand_concrete)],
+    pytest.param(lambda spec: TautExpr.build(spec, 1, [((kappa(1),), 1)]), "x",
+                 id="build(non-ModuliSpec)"),
+    *[pytest.param(lambda spec, call=call: call(spec, 1), "x",
+                   id=f"{call.__name__}(non-ModuliSpec)")
+      for call in (ch_bundle, chern_classes, hodge_ch, canonical_class, delta_as_atoms)],
+    pytest.param(lambda items: TautExpr.build(_SPEC, 1, items), 5, id="build(non-iterable items)"),
+    pytest.param(expr_from_json, 5, id="expr_from_json(non-string)"),
 ])
 def test_bad_arguments_are_domain_errors(call, value):
     """A float, a string or a value below the bound is refused as a
