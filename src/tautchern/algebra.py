@@ -346,6 +346,16 @@ def monomial(*gens: Gen) -> Monomial:
     return tuple(sorted(gens, key=Gen.sort_key))
 
 
+def _gen_tuple(gens: Gen | Iterable[Gen]) -> tuple:
+    """One Gen, or an iterable of them, as a tuple; anything else is a
+    DomainError."""
+    if isinstance(gens, Gen):
+        return (gens,)
+    if not isinstance(gens, Iterable):
+        raise DomainError(f"generators must be a Gen or an iterable of Gen, got {gens!r}")
+    return tuple(gens)
+
+
 def monomial_degree(mono: Monomial) -> int:
     # Summing a list, not a generator: on a monomial's short tuple the
     # generator costs about half again as much.
@@ -457,9 +467,7 @@ class TautExpr:
     @staticmethod
     def of(spec: ModuliSpec, order: int, gens: Gen | Iterable[Gen],
            coeff: Fraction | int = 1) -> "TautExpr":
-        if isinstance(gens, Gen):
-            gens = (gens,)
-        return TautExpr.build(spec, order, [(tuple(gens), coeff)])
+        return TautExpr.build(spec, order, [(_gen_tuple(gens), coeff)])
 
     def __add__(self, other: "TautExpr") -> "TautExpr":
         _check_compatible(self.spec, self.order, other)
@@ -508,9 +516,7 @@ class TautExpr:
         return TautExpr(self.spec, self.order, terms[lo:bisect_right(terms, d, lo, key=degree)])
 
     def coefficient(self, gens: Gen | Iterable[Gen]) -> Fraction:
-        if isinstance(gens, Gen):
-            gens = (gens,)
-        target = monomial(*gens)
+        target = monomial(*_gen_tuple(gens))
         for m, c in self.terms:
             if m == target:
                 return c

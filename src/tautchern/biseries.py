@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Mapping
 
 from .rationals import DomainError, _exact, bernoulli, check_int, kappa_correction
@@ -31,6 +31,14 @@ from .rationals import DomainError, _exact, bernoulli, check_int, kappa_correcti
 class BiSeries:
     """Coefficients of D1^i D2^j for i+j <= order; exact and immutable.
 
+    The terms are stored as integer numerators over one denominator: the
+    coefficient of D1^i D2^j is n/den for ((i, j), n) in nums.  Every
+    series is kept in lowest terms (den > 0, keys sorted, numerators
+    nonzero, gcd(den, *numerators) == 1), so equal series have equal
+    fields and equal hashes.  den is then the lcm of the reduced
+    denominators: for numerators n_k over D, that lcm is
+    D / gcd(D, n_1, ..., n_m).
+
     With cross_zero set, every mixed monomial (i >= 1 and j >= 1) is
     dropped at each arithmetic step, implementing the quotient by
     D1*D2 = 0.
@@ -38,7 +46,8 @@ class BiSeries:
 
     order: int
     cross_zero: bool = False
-    coeffs: tuple[tuple[tuple[int, int], Fraction], ...] = ()
+    den: int = 1
+    nums: tuple[tuple[tuple[int, int], int], ...] = ()
 
     @staticmethod
     def build(order: int, data: Mapping[tuple[int, int], Fraction | int],
@@ -59,9 +68,11 @@ class BiSeries:
                 raise DomainError(f"exponent pair must be two ints >= 0, got ({i!r},{j!r})")
             q = _exact(c)
             if q and i + j <= order and not (cross_zero and i >= 1 and j >= 1):
-                kept.append(((i, j), q))
+                kept.append((key, q))
         kept.sort()
-        return BiSeries(order, cross_zero, tuple(kept))
+        den = lcm(*[q.denominator for _, q in kept])
+        return _reduced(order, cross_zero, den,
+                        [(key, q.numerator * (den // q.denominator)) for key, q in kept])
 
     @staticmethod
     def zero(order: int, cross_zero: bool = False) -> "BiSeries":
@@ -78,13 +89,19 @@ class BiSeries:
         key = (1, 0) if index == 1 else (0, 1)
         return BiSeries.build(order, {key: 1}, cross_zero)
 
+    @property
+    def coeffs(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+        """The terms as ((i, j), reduced Fraction) pairs, in key order."""
+        den = self.den
+        return tuple((key, Fraction(n, den)) for key, n in self.nums)
+
     def as_dict(self) -> dict[tuple[int, int], Fraction]:
         return dict(self.coeffs)
 
     def coeff(self, i: int, j: int) -> Fraction:
-        for key, c in self.coeffs:
+        for key, n in self.nums:
             if key == (i, j):
-                return c
+                return Fraction(n, self.den)
         return Fraction(0)
 
     def _check_compatible(self, other: "BiSeries") -> None:
@@ -93,24 +110,26 @@ class BiSeries:
 
     def __add__(self, other: "BiSeries") -> "BiSeries":
         self._check_compatible(other)
-        data = self.as_dict()
-        for key, c in other.coeffs:
-            data[key] = data.get(key, Fraction(0)) + c
-        return BiSeries.build(self.order, data, self.cross_zero)
+        den = lcm(self.den, other.den)
+        f1, f2 = den // self.den, den // other.den
+        acc = {key: n * f1 for key, n in self.nums}
+        for key, n in other.nums:
+            acc[key] = acc.get(key, 0) + n * f2
+        return _reduced(self.order, self.cross_zero, den,
+                        sorted((key, n) for key, n in acc.items() if n))
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
         return self + other.scale(-1)
 
     def scale(self, q: Fraction | int) -> "BiSeries":
         q = _exact(q)
-        return BiSeries.build(self.order,
-                              {key: c * q for key, c in self.coeffs},
-                              self.cross_zero)
+        return _reduced(self.order, self.cross_zero, self.den * q.denominator,
+                        [(key, n * q.numerator) for key, n in self.nums] if q else [])
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
-        """Exact truncated product on integer numerators: a pair whose
-        degree is above the order is never visited, and each output
-        coefficient is divided by the common denominator once.
+        """Exact truncated product on the stored numerators: a pair whose
+        degree is above the order is never visited, and the output's
+        numerators over den1 * den2 are reduced by one content gcd.
 
         Inside the product the pair (i, j) is the int i*(order+1) + j; as
         j1 + j2 <= order, a product's key is the sum of its factors' keys,
@@ -121,42 +140,42 @@ class BiSeries:
         """
         self._check_compatible(other)
         order, width = self.order, self.order + 1
-        d1, left = _numerators(self.coeffs)
-        d2, right = _numerators(other.coeffs)
         groups: list[list[tuple[int, int]]] = [[] for _ in range(width)]
-        for (i, j), n in right:
+        for (i, j), n in other.nums:
             groups[i + j].append((i * width + j, n))
         acc: dict[int, int] = {}
-        for (i1, j1), n1 in left:
+        for (i1, j1), n1 in self.nums:
             p1 = i1 * width + j1
             for group in groups[:order - i1 - j1 + 1]:
                 for p2, n2 in group:
                     acc[p1 + p2] = acc.get(p1 + p2, 0) + n1 * n2
         if self.cross_zero:
             acc = {p: n for p, n in acc.items() if p < width or p % width == 0}
-        den = d1 * d2
-        return BiSeries(order, self.cross_zero, tuple(
-            (divmod(p, width), Fraction(n, den)) for p, n in sorted(acc.items()) if n))
+        return _reduced(order, self.cross_zero, self.den * other.den,
+                        [(divmod(p, width), n) for p, n in sorted(acc.items()) if n])
 
     def inverse(self) -> "BiSeries":
         """Multiplicative inverse; requires a unit (nonzero) constant term.
 
-        With a = A/D on integer numerators and c0 = A00/D, the coefficients
-        found so far are kept as integer numerators N over their common
-        denominator E, and b_ij = -S_ij / (E * A00) with S_ij the sum of
-        A_kl * N_(i-k,j-l) over (k,l) != (0,0).  The sums are pushed, not
-        pulled: once b_pq is found, A_kl * N_pq is added to the pending sum
-        at (p+k, q+l) for every term of a within the order, so a degree's
-        sums are complete when it is reached and only nonzero pairs are
-        visited.  After each degree E becomes the lcm with the new
-        denominators and the pending sums are scaled up to it.
+        With a = A/D and A00 = s|A00| its constant numerator, the
+        coefficients found so far are kept as integer numerators N over
+        their common denominator E, and b_ij = -s S_ij / (E |A00|) with
+        S_ij the sum of A_kl * N_(i-k,j-l) over (k,l) != (0,0).  The sums
+        are pushed, not pulled: once b_pq is found, A_kl * N_pq is added
+        to the pending sum at (p+k, q+l) for every term of a within the
+        order, so a degree's sums are complete when it is reached and only
+        nonzero pairs are visited.  A degree's coefficients share the
+        denominator E |A00| / g, with g the gcd of E |A00| and their sums;
+        E then grows to the lcm with it, and the pending sums are scaled
+        up to the new E.  Each degree's numerators are over the E of their
+        degree, and are scaled to the last E once at the end.
         """
         order, cross_zero = self.order, self.cross_zero
-        den, nums = _numerators(self.coeffs)
-        a00 = dict(nums).get((0, 0), 0)
+        a00 = self.nums[0][1] if self.nums and self.nums[0][0] == (0, 0) else 0
         if a00 == 0:
             raise DomainError("cannot invert a series with zero constant term")
-        rest = sorted((k + l, k, l, n) for (k, l), n in nums if k or l)
+        sign, a00 = (1, a00) if a00 > 0 else (-1, -a00)
+        rest = sorted((k + l, k, l, n) for (k, l), n in self.nums if k or l)
         pending: list[dict[tuple[int, int], int]] = [{} for _ in range(order + 1)]
 
         def push(p, q, n):
@@ -169,30 +188,39 @@ class BiSeries:
                 sums = pending[i + j]
                 sums[(i, j)] = sums.get((i, j), 0) + m * n
 
-        first = Fraction(den, a00)
-        e = first.denominator
-        out = [((0, 0), first)]
-        push(0, 0, first.numerator)
+        g = gcd(self.den, a00)
+        e, n00 = a00 // g, sign * (self.den // g)
+        found = [(e, [((0, 0), n00)])]
+        push(0, 0, n00)
         for t in range(1, order + 1):
-            new = [(key, Fraction(-s, e * a00)) for key, s in pending[t].items() if s]
-            grown = lcm(e, *(c.denominator for _, c in new))
+            sums = pending[t]
+            ea = e * a00
+            g = gcd(ea, *sums.values())
+            grown = lcm(e, ea // g)
             if grown != e:
                 f = grown // e
-                for sums in pending[t + 1:]:
-                    for key in sums:
-                        sums[key] *= f
+                for later in pending[t + 1:]:
+                    for key in later:
+                        later[key] *= f
                 e = grown
-            for (p, q), c in new:
-                push(p, q, c.numerator * (e // c.denominator))
-            out.extend(new)
-        return BiSeries(order, cross_zero, tuple(sorted(out)))
+            f = -sign * (e * g // ea)
+            new = [(key, s // g * f) for key, s in sums.items() if s]
+            for (p, q), n in new:
+                push(p, q, n)
+            found.append((e, new))
+        return _reduced(order, cross_zero, e, sorted(
+            (key, n * (e // e_t)) for e_t, new in found for key, n in new))
 
 
-def _numerators(coeffs) -> tuple[int, list[tuple[tuple[int, int], int]]]:
-    """The common denominator D (the lcm of the denominators) and every
-    coefficient's integer numerator over D."""
-    den = lcm(*(c.denominator for _, c in coeffs))
-    return den, [(key, c.numerator * (den // c.denominator)) for key, c in coeffs]
+def _reduced(order: int, cross_zero: bool, den: int,
+             nums: list[tuple[tuple[int, int], int]]) -> BiSeries:
+    """The series with numerators nums (sorted, nonzero) over den > 0, in
+    lowest terms: den and every numerator divided by their content gcd."""
+    g = gcd(den, *[n for _, n in nums])
+    if g != 1:
+        den //= g
+        nums = [(key, n // g) for key, n in nums]
+    return BiSeries(order, cross_zero, den, tuple(nums))
 
 
 def _univariate(order: int, index: int, fn,
@@ -243,9 +271,10 @@ def node_correction_series(order: int) -> BiSeries:
     """sum_(j>=1) (-1)^(j-1) (D1+D2)^(j-1) / j!, which is (1-e^(-s))/s at
     s = D1+D2, expanded binomially: (-1)^k C(k,i) / (k+1)! on D1^i D2^(k-i)."""
     check_int(order, 0, "series order")
-    return BiSeries(order, False, tuple(
-        ((i, j), Fraction((-1) ** (i + j) * comb(i + j, i), factorial(i + j + 1)))
-        for i in range(order + 1) for j in range(order + 1 - i)))
+    top = factorial(order + 1)
+    return _reduced(order, False, top, [
+        ((i, j), (-1) ** (i + j) * comb(i + j, i) * (top // factorial(i + j + 1)))
+        for i in range(order + 1) for j in range(order + 1 - i)])
 
 
 def _node_sheaf_times_todds(theta: BiSeries) -> BiSeries:

@@ -43,7 +43,7 @@ from .formulas import (
 )
 from .partitions import partitions
 from .rationals import DomainError, bernoulli, format_rational, kappa_correction
-from .render import FORMATS, render
+from .render import FORMATS, chern_json, render
 
 VERIFY_SPECS = ((0, 4), (1, 1), (2, 0), (2, 1), (3, 2))
 
@@ -84,12 +84,7 @@ def cmd_chern(args) -> int:
         raise DomainError(f"jmax must be >= 0, got {args.jmax}")
     bundle_rank, classes = chern_classes(spec, args.jmax, args.bundle, args.basis)
     if args.format == "json":
-        # What json.dumps(..., indent=2) gives for the document
-        # {"rank", "jmax", "classes"}: each class's own document, indented
-        # two levels.
-        docs = [render(c, "json").replace("\n", "\n    ") for c in classes]
-        listing = "[\n    " + ",\n    ".join(docs) + "\n  ]" if docs else "[]"
-        print(f'{{\n  "rank": {bundle_rank},\n  "jmax": {args.jmax},\n  "classes": {listing}\n}}')
+        print(chern_json(bundle_rank, args.jmax, classes))
         return 0
     print(f"rank = {bundle_rank}")
     for j, c in enumerate(classes, start=1):

@@ -88,6 +88,7 @@ def boundary_argument(d: int) -> SymPoly2:
 
 def rank(spec: ModuliSpec, bundle: str = "cotangent") -> int:
     """Degree-0 value of the Chern character: the bundle rank."""
+    _cap(spec, 0)  # the spec check
     if bundle in ("cotangent", "tangent"):
         return spec.dimension
     if bundle == "hodge":

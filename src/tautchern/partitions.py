@@ -55,10 +55,11 @@ def partition_chern_coeff(mu: tuple[int, ...]) -> Fraction:
     for part in mu:
         check_int(part, 1, "partition part")
         mult[part] = mult.get(part, 0) + 1
-    coeff = Fraction((-1) ** (sum(mu) - len(mu)))
+    num, den = (-1) ** (sum(mu) - len(mu)), 1
     for r, m_r in mult.items():
-        coeff *= Fraction(factorial(r - 1) ** m_r, factorial(m_r))
-    return coeff
+        num *= factorial(r - 1) ** m_r
+        den *= factorial(m_r)
+    return Fraction(num, den)
 
 
 def power_sym(k: int) -> SymPoly2:

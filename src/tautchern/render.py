@@ -209,40 +209,57 @@ class _Raw(str):
 
 def _json_value(v, level: int) -> str:
     """json.dumps(v, indent=2) for an int, a str or _Raw text, or a list,
-    tuple or dict of those, as written level steps deep in a document."""
+    tuple or dict of those, as written level steps deep in a document.
+    The pieces are joined once, so a large document is copied once."""
+    out: list[str] = []
+    _json_pieces(v, level, out)
+    return "".join(out)
+
+
+def _json_pieces(v, level: int, out: list[str]) -> None:
     if type(v) is str:
-        return _json_str(v)
-    if type(v) is int:
-        return str(v)
-    if type(v) is _Raw:
-        return v
-    if not v:
-        return "{}" if type(v) is dict else "[]"
-    inner = "\n" + "  " * (level + 1)
-    if type(v) is dict:
-        items = (f"{_json_str(k)}: {_json_value(x, level + 1)}" for k, x in v.items())
-        open_, close = "{", "}"
+        out.append(_json_str(v))
+    elif type(v) is int:
+        out.append(str(v))
+    elif type(v) is _Raw:
+        out.append(v)
+    elif not v:
+        out.append("{}" if type(v) is dict else "[]")
     else:
-        items = (_json_value(x, level + 1) for x in v)
-        open_, close = "[", "]"
-    return open_ + inner + ("," + inner).join(items) + "\n" + "  " * level + close
+        inner = "\n" + "  " * (level + 1)
+        if type(v) is dict:
+            sep, close = "{" + inner, "}"
+            for k, x in v.items():
+                out.append(f"{sep}{_json_str(k)}: ")
+                _json_pieces(x, level + 1, out)
+                sep = "," + inner
+        else:
+            sep, close = "[" + inner, "]"
+            for x in v:
+                out.append(sep)
+                _json_pieces(x, level + 1, out)
+                sep = "," + inner
+        out.append("\n" + "  " * level + close)
 
 
-def _json_text(e: TautExpr) -> str:
+def _json_text(e: TautExpr, level: int = 0) -> str:
     """The expression's JSON document, byte for byte what json.dumps(doc,
-    indent=2) gives for it.  This is the only definition of the schema.
+    indent=2) gives for it when written level steps deep in an enclosing
+    document.  This is the only definition of the schema.
 
-    Terms sit at level 2 of the document and their generators at level 4;
-    a coefficient is a string of digits, a sign and a slash, so it needs no
+    Terms sit at level + 2 and their generators at level + 4; a
+    coefficient is a string of digits, a sign and a slash, so it needs no
     escaping.
     """
-    table = _Spelled(lambda g: _json_value({"gen": g.kind, "args": g.args}, 4))
+    table = _Spelled(lambda g: _json_value({"gen": g.kind, "args": g.args}, level + 4))
+    term_in, gen_in = "\n" + "  " * (level + 3), "\n" + "  " * (level + 4)
+    gen_sep, term_close = "," + gen_in, "\n" + "  " * (level + 2) + "}"
     terms = []
     for mono, c in e.terms:
-        gens = ",\n        ".join(text for _, text in table.display(mono))
-        monomial = f"[\n        {gens}\n      ]" if mono else "[]"
+        gens = gen_sep.join(text for _, text in table.display(mono))
+        monomial = f"[{gen_in}{gens}{term_in}]" if mono else "[]"
         coeff, _ = _text_coeff(c.numerator, c.denominator)
-        terms.append(f'{{\n      "coeff": "{coeff}",\n      "monomial": {monomial}\n    }}')
+        terms.append(f'{{{term_in}"coeff": "{coeff}",{term_in}"monomial": {monomial}{term_close}')
     spec = e.spec
     return _json_value({
         "g": spec.genus,
@@ -251,6 +268,17 @@ def _json_text(e: TautExpr) -> str:
         "mode": "concrete" if spec.concrete else "generic",
         "labels": spec.labels,
         "terms": [_Raw(t) for t in terms],
+    }, level)
+
+
+def chern_json(rank: int, jmax: int, classes: list[TautExpr]) -> str:
+    """The chern command's JSON document {"rank", "jmax", "classes"}, byte
+    for byte json.dumps(doc, indent=2), with each class's document written
+    in place two levels deep."""
+    return _json_value({
+        "rank": rank,
+        "jmax": jmax,
+        "classes": [_Raw(_json_text(c, 2)) for c in classes],
     }, 0)
 
 

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oracles import bernoulli_list, series_exp, series_product
 from tautchern import (
@@ -355,6 +355,48 @@ def test_inverse_equals_reference(pair):
     assert (a * b) * inv == b
 
 
+def _assert_lowest_terms(s: BiSeries) -> None:
+    """den > 0, sorted nonzero terms, content gcd 1; so den is the lcm of
+    the reduced coefficients' denominators."""
+    assert type(s.den) is int and s.den > 0
+    keys = [key for key, _ in s.nums]
+    assert keys == sorted(set(keys))
+    assert all(type(n) is int and n != 0 for _, n in s.nums)
+    assert gcd(s.den, *[n for _, n in s.nums]) == 1
+    assert s.den == lcm(*(c.denominator for _, c in s.coeffs))
+    assert all(type(c) is Fraction and c * s.den == n
+               for (_, c), (_, n) in zip(s.coeffs, s.nums))
+
+
+@settings(max_examples=40)
+@given(_ref_pair(unit=True), _ref_vals)
+def test_every_path_gives_lowest_terms(pair, q):
+    a, b = pair
+    for s in (a, b, a + b, a - b, a - a, a.scale(q), a.scale(0), a * b, a.inverse()):
+        _assert_lowest_terms(s)
+
+
+@pytest.mark.parametrize("order", [0, 1, 12, 46])
+def test_node_correction_series_is_in_lowest_terms(order):
+    theta = node_correction_series(order)
+    _assert_lowest_terms(theta)
+    assert theta.den == factorial(order + 1)
+
+
+@settings(max_examples=40)
+@given(_ref_pair(unit=True), _ref_vals)
+def test_routes_to_one_series_are_equal_with_equal_hashes(pair, q):
+    a, b = pair
+    routes = [
+        (a * b, BiSeries.build(a.order, reference_mul(a, b).as_dict(), a.cross_zero)),
+        (a.inverse(), reference_inverse(a)),
+        (a + b - b, a),
+        (a.scale(q) * b, (a * b).scale(q)),
+    ]
+    for x, y in routes:
+        assert x == y and hash(x) == hash(y)
+
+
 def test_node_sheaf_product_equals_reference():
     a, b = structure_sheaf_pair_ch(24), todd_dual_inverse_pair(24)
     assert a * b == reference_mul(a, b)
@@ -402,7 +444,10 @@ def test_quotient_product_drops_mixed_operand_terms(order):
     """Mixed terms put into a quotient series directly (not through build)
     meet nothing: every product they take part in is mixed."""
     data = {**_pure(order, 1), **_pure(order, 2, 1), **_mixed(order)}
-    a = BiSeries(order, True, tuple(sorted(data.items())))
+    den = lcm(*(c.denominator for c in data.values()))
+    a = BiSeries(order, True, den, tuple(
+        (key, c.numerator * (den // c.denominator)) for key, c in sorted(data.items())))
+    assert a.as_dict() == data
     b = BiSeries.build(order, {**_pure(order, 2), **_pure(order, 1, 1)}, cross_zero=True)
     want = series_product(order, data, b.as_dict(), cross_zero=True)
     assert (a * b).as_dict() == want

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -76,6 +77,24 @@ def test_partition_chern_coeff_pinned(mu, value):
     """The partition coefficients encode c_2 = ch_1^2/2 - ch_2 and
     c_3 = ch_1^3/6 - ch_1 ch_2 + 2 ch_3."""
     assert partition_chern_coeff(mu) == value
+
+
+def _product_formula_coeff(mu: tuple[int, ...]) -> Fraction:
+    """(-1)^(n - len(mu)) * prod_r ((r-1)!)^(m_r) / m_r!, one Fraction
+    factor per distinct part."""
+    coeff = Fraction((-1) ** (sum(mu) - len(mu)))
+    for r in set(mu):
+        m_r = mu.count(r)
+        coeff *= Fraction(factorial(r - 1) ** m_r, factorial(m_r))
+    return coeff
+
+
+def test_partition_chern_coeff_equals_product_formula():
+    """Every partition of j <= 10, against the formula multiplied out in
+    Fractions."""
+    for j in range(1, 11):
+        for mu in partitions(j):
+            assert partition_chern_coeff(mu) == _product_formula_coeff(mu), mu
 
 
 def test_partition_chern_coeff_rejects_bad_parts():

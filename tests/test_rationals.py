@@ -40,6 +40,7 @@ from tautchern import (
     marked_point_reference,
     partitions,
     power_sym,
+    rank,
     render,
     render_json_dict,
     structure_sheaf_pair_ch,
@@ -258,6 +259,10 @@ _INT_ARGUMENTS = [
       for call in (ch_bundle, chern_classes, hodge_ch, canonical_class, delta_as_atoms)],
     pytest.param(lambda items: TautExpr.build(_SPEC, 1, items), 5, id="build(non-iterable items)"),
     pytest.param(expr_from_json, 5, id="expr_from_json(non-string)"),
+    pytest.param(lambda gens: TautExpr.of(_SPEC, 1, gens), 5, id="of(non-iterable generators)"),
+    pytest.param(lambda gens: _CH[1].coefficient(gens), 5,
+                 id="coefficient(non-iterable generators)"),
+    pytest.param(rank, "x", id="rank(non-ModuliSpec)"),
 ])
 def test_bad_arguments_are_domain_errors(call, value):
     """A float, a string or a value below the bound is refused as a

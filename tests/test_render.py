@@ -34,7 +34,7 @@ from tautchern import (
 )
 from tautchern.cli import main
 from tautchern.rationals import format_rational
-from tautchern.render import LATEX, TEXT, _gen
+from tautchern.render import LATEX, TEXT, _gen, chern_json
 
 SPEC21 = ModuliSpec(2, default_labels(1))
 
@@ -291,6 +291,13 @@ def test_chern_json_matches_reference(capsys, argv):
     doc = {"rank": rank, "jmax": jmax,
            "classes": [reference_json_dict(c) for c in classes]}
     assert out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_chern_json_writes_classes_in_place_with_escaped_labels():
+    """The classes are written two levels deep, labels escaped there too."""
+    rank, classes = chern_classes(ODD_LABELS, 2)
+    doc = {"rank": rank, "jmax": 2, "classes": [reference_json_dict(c) for c in classes]}
+    assert chern_json(rank, 2, classes) == json.dumps(doc, indent=2)
 
 
 DELETE = object()
