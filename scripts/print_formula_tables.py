@@ -27,7 +27,7 @@ from tautchern import (
     rank,
     render,
 )
-from tautchern.formulas import boundary_coefficient
+from tautchern.formulas import BUNDLES, boundary_coefficient
 
 
 def parse_specs(raw: list[str]) -> list[tuple[int, int]]:
@@ -56,7 +56,7 @@ def character_block(g: int, n: int, degree: int, jmax: int) -> None:
     spec = ModuliSpec(g, default_labels(n))
     print(f"=== (g, n) = ({g}, {n}), dimension {spec.dimension}, "
           f"{spec.boundary_count()} boundary divisors ===")
-    for bundle in ("cotangent", "tangent"):
+    for bundle in BUNDLES:
         result = ch_bundle(spec, degree, bundle)
         print(f"{bundle}: rank {result.rank}")
         for d in range(1, degree + 1):

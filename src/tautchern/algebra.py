@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
 
-from .rationals import DomainError, _exact, check_int
+from .rationals import DomainError, _exact, check_choice, check_int
 
 # Generator kind tags.  These double as the "gen" names in JSON output.
 KAPPA = "kappa"
@@ -188,6 +188,7 @@ _LABEL = re.compile(r"[^\s,{}]+")
 
 
 def default_labels(n: int) -> tuple[str, ...]:
+    check_int(n, 0, "marking count")
     return tuple(f"p{i}" for i in range(1, n + 1))
 
 
@@ -206,8 +207,7 @@ class ModuliSpec:
 
     def __post_init__(self):
         check_int(self.genus, 0, "genus")
-        if type(self.concrete) is not bool:
-            raise DomainError(f"concrete must be a bool, got {self.concrete!r}")
+        check_choice(self.concrete, (False, True), "concrete")
         if type(self.labels) not in (tuple, list):
             raise DomainError(f"marking labels must be a tuple or list, got {self.labels!r}")
         labels = tuple(self.labels)
@@ -529,6 +529,8 @@ class TautExpr:
         generators seed each product unchanged.  This is the engine under
         substitution and under expansion.
         """
+        if not callable(fn):
+            raise DomainError(f"map_generators needs a callable, got {fn!r}")
         memo: dict[Gen, TautExpr | None] = {}
 
         def split(m, c):

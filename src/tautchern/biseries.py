@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from typing import Mapping
 
-from .rationals import DomainError, _exact, bernoulli, check_int, kappa_correction
+from .rationals import DomainError, _exact, bernoulli, check_choice, check_int, kappa_correction
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,6 +57,7 @@ class BiSeries:
         cross_zero, are dropped.  A mapping's keys are unique, so the kept
         terms are only sorted, never summed."""
         check_int(order, 0, "series order")
+        check_choice(cross_zero, (False, True), "cross_zero")
         if not isinstance(data, Mapping):
             raise DomainError(f"series data must be a mapping, got {type(data).__name__}")
         kept = []
@@ -84,9 +85,7 @@ class BiSeries:
 
     @staticmethod
     def variable(order: int, index: int, cross_zero: bool = False) -> "BiSeries":
-        if type(index) is not int or index not in (1, 2):
-            raise DomainError(f"variable index must be 1 or 2, got {index!r}")
-        key = (1, 0) if index == 1 else (0, 1)
+        key = (1, 0) if check_choice(index, (1, 2), "variable index") == 1 else (0, 1)
         return BiSeries.build(order, {key: 1}, cross_zero)
 
     @property
@@ -105,6 +104,8 @@ class BiSeries:
         return Fraction(0)
 
     def _check_compatible(self, other: "BiSeries") -> None:
+        if not isinstance(other, BiSeries):
+            raise DomainError(f"expected a BiSeries, got {type(other).__name__}")
         if self.order != other.order or self.cross_zero != other.cross_zero:
             raise DomainError("series have different orders or quotient flags")
 
@@ -119,6 +120,7 @@ class BiSeries:
                         sorted((key, n) for key, n in acc.items() if n))
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
+        self._check_compatible(other)
         return self + other.scale(-1)
 
     def scale(self, q: Fraction | int) -> "BiSeries":
@@ -226,9 +228,9 @@ def _reduced(order: int, cross_zero: bool, den: int,
 def _univariate(order: int, index: int, fn,
                 cross_zero: bool = False) -> BiSeries:
     """Series in the chosen variable alone, with coefficient fn(k) on D^k."""
+    first = check_choice(index, (1, 2), "variable index") == 1
     return BiSeries.build(
-        order, {((k, 0) if index == 1 else (0, k)): fn(k) for k in range(order + 1)},
-        cross_zero)
+        order, {((k, 0) if first else (0, k)): fn(k) for k in range(order + 1)}, cross_zero)
 
 
 def _one_minus_exp_neg_over_t(k: int) -> Fraction:
@@ -296,6 +298,7 @@ def check_node_correction(order: int, inject_fault: bool = False) -> bool:
     theta serves both sides, and only the right side's copy is flipped.
     """
     check_int(order, 4, "node correction check order")
+    check_choice(inject_fault, (False, True), "inject_fault")
     theta = node_correction_series(order)
     lhs = _node_sheaf_times_todds(theta)
     if inject_fault:
@@ -368,8 +371,7 @@ def marked_point_reference(order: int, tail_sign: int = -1) -> BiSeries:
     sign under which the closed form equals the exact product.
     """
     check_int(order, 0, "series order")
-    if type(tail_sign) is not int or tail_sign not in (-1, 1):
-        raise DomainError(f"tail sign must be -1 or +1, got {tail_sign!r}")
+    check_choice(tail_sign, (-1, 1), "tail sign")
     data: dict[tuple[int, int], Fraction] = {}
     for m in range(1, order + 1):
         c = Fraction(1, factorial(m))

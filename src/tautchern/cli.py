@@ -31,6 +31,7 @@ from .biseries import (
     todd_reciprocal,
 )
 from .formulas import (
+    BASES,
     BUNDLES,
     canonical_class,
     ch_bundle,
@@ -213,7 +214,7 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--labels", type=str, default=None,
                    help="comma separated marking labels (alternative to --n)")
     p.add_argument("--bundle", choices=BUNDLES, default="cotangent")
-    p.add_argument("--basis", choices=("kappa", "lambda"), default="kappa")
+    p.add_argument("--basis", choices=BASES, default="kappa")
     p.add_argument("--mode", choices=("generic", "concrete"),
                    default="generic")
     p.add_argument("--format", choices=FORMATS, default="text")

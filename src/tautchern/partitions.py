@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .rationals import DomainError, check_int
 
@@ -51,6 +51,9 @@ def partition_chern_coeff(mu: tuple[int, ...]) -> Fraction:
 
     The empty partition gives c_0 = 1.
     """
+    if not isinstance(mu, Iterable):
+        raise DomainError(f"partition must be an iterable of ints, got {mu!r}")
+    mu = tuple(mu)
     mult: dict[int, int] = {}
     for part in mu:
         check_int(part, 1, "partition part")

@@ -29,6 +29,16 @@ def check_int(value, low: int, what: str) -> int:
     return value
 
 
+def check_choice(value, choices: tuple, what: str):
+    """value itself, if it equals one of choices and has that choice's
+    exact type (a bool is not an int, a truthy string is not True).  Only
+    == is used, so an unhashable value is refused too."""
+    for c in choices:
+        if type(value) is type(c) and value == c:
+            return value
+    raise DomainError(f"{what} must be one of {choices}, got {value!r}")
+
+
 # Cache of Bernoulli numbers B_0, B_1, ... (second convention:
 # B_1 = -1/2), keyed by index.  Its keys are always 0..len-1: a value is
 # computed from the entries below it only and stored with setdefault, so
@@ -73,7 +83,8 @@ def kappa_correction(m: int) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Render a Fraction as ``p`` or ``p/q`` with no superfluous sign."""
+    """Render a Fraction (or an int) as ``p`` or ``p/q`` with no superfluous sign."""
+    q = _exact(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

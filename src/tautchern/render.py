@@ -48,7 +48,7 @@ from .algebra import (
     irr_push,
     sep_push_sum,
 )
-from .rationals import DomainError
+from .rationals import DomainError, check_choice
 
 FORMATS = ("text", "latex", "json")
 
@@ -288,9 +288,7 @@ def render_json_dict(e: TautExpr) -> dict:
 
 
 def render(e: TautExpr, fmt: str = "text") -> str:
-    # A tuple test compares by ==, so an unhashable fmt is refused too.
-    if fmt not in FORMATS:
-        raise DomainError(f"unknown output format {fmt!r}; expected one of {FORMATS}")
+    check_choice(fmt, FORMATS, "output format")
     check_expr(e)
     if fmt == "json":
         return _json_text(e)
@@ -343,9 +341,7 @@ def expr_from_json_dict(doc: dict) -> TautExpr:
         raise DomainError(f"malformed expression document: missing {exc}") from None
     for value, what in ((g, "g"), (n, "n"), (order, "degree")):
         _expect(value, int, what)
-    mode = doc.get("mode", "generic")
-    if mode not in ("generic", "concrete"):
-        raise DomainError(f"mode must be 'generic' or 'concrete', got {mode!r}")
+    mode = check_choice(doc.get("mode", "generic"), ("generic", "concrete"), "mode")
     labels = (_expect(doc["labels"], list, "labels") if "labels" in doc
               else list(default_labels(n)))
     if len(labels) != n:

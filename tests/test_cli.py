@@ -162,6 +162,17 @@ def test_negative_count_exits_two(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["ch", "chern"])
+def test_help_lists_bundles_and_bases(capsys, command):
+    """--bundle and --basis read their choices from formulas.BUNDLES and
+    BASES; argparse lays out the rest differently across Python versions."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--bundle {cotangent,tangent}" in out and "--basis {kappa,lambda}" in out
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

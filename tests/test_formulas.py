@@ -46,6 +46,7 @@ from tautchern import (
     sep_push_sum,
     to_lambda_basis,
 )
+from tautchern import formulas
 from tautchern.formulas import boundary_argument, boundary_coefficient
 
 SPEC21 = ModuliSpec(2, default_labels(1))
@@ -147,6 +148,27 @@ def test_degree_zero_checks_like_degree_one(call):
     degree 1 refuses."""
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("bundle", ["cotangent", "tangent"])
+@pytest.mark.parametrize("basis", ["kappa", "lambda"])
+def test_ch_bundle_calls_the_module_level_names(monkeypatch, bundle, basis):
+    """ch_bundle looks up ch_cotangent, ch_tangent and to_lambda_basis as
+    module globals at each call, so rebinding them (as the benchmark
+    tracer does) sees every call."""
+    calls = []
+    for name in ("ch_cotangent", "ch_tangent", "to_lambda_basis"):
+        def wrapper(*args, _name=name, _fn=getattr(formulas, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(formulas, name, wrapper)
+    result = ch_bundle(SPEC21, 2, bundle, basis)
+    # ch_tangent dualizes ch_cotangent, found through the same globals.
+    want = {"cotangent": ["ch_cotangent"], "tangent": ["ch_tangent", "ch_cotangent"]}[bundle]
+    want += ["to_lambda_basis"] if basis == "lambda" else []
+    assert calls == want
+    expected = ch_cotangent(SPEC21, 2) if bundle == "cotangent" else ch_tangent(SPEC21, 2)
+    assert result.graded == (to_lambda_basis(expected) if basis == "lambda" else expected)
 
 
 def test_tangent_negates_odd_degrees():

@@ -20,6 +20,7 @@ from tautchern import (
     bernoulli,
     canonical_class,
     ch_bundle,
+    check_node_correction,
     check_todd_bernoulli,
     chern_classes,
     chern_exp_oracle,
@@ -38,6 +39,7 @@ from tautchern import (
     kappa_correction_series_table,
     kappa_tilde_rewrite,
     marked_point_reference,
+    partition_chern_coeff,
     partitions,
     power_sym,
     rank,
@@ -47,7 +49,9 @@ from tautchern import (
     to_lambda_basis,
     todd_reciprocal,
 )
-from tautchern.rationals import check_int
+from tautchern.biseries import one_minus_exp_neg
+from tautchern.rationals import check_choice, check_int
+from tautchern.render import expr_from_json_dict
 
 PINNED_BERNOULLI = {
     0: Fraction(1),
@@ -211,6 +215,18 @@ def test_check_int():
             check_int(value, 0, "m")
 
 
+def test_check_choice():
+    assert check_choice(1, (-1, 1), "sign") == 1
+    with pytest.raises(DomainError, match=r"^sign must be one of \(-1, 1\), got 2$"):
+        check_choice(2, (-1, 1), "sign")
+    for value in (True, 1.0, "1", ["x"]):
+        with pytest.raises(DomainError):
+            check_choice(value, (-1, 1), "sign")
+    for value in (1, "no", None):
+        with pytest.raises(DomainError):
+            check_choice(value, (False, True), "flag")
+
+
 _SPEC = ModuliSpec(2, default_labels(1))
 _CH = {1: TautExpr.of(_SPEC, 2, kappa(1)), 2: TautExpr.of(_SPEC, 2, kappa(2))}
 
@@ -263,9 +279,66 @@ _INT_ARGUMENTS = [
     pytest.param(lambda gens: _CH[1].coefficient(gens), 5,
                  id="coefficient(non-iterable generators)"),
     pytest.param(rank, "x", id="rank(non-ModuliSpec)"),
+    pytest.param(lambda x: BiSeries.one(3) + x, 5, id="BiSeries + int"),
+    pytest.param(lambda x: BiSeries.one(3) - x, 5, id="BiSeries - int"),
+    pytest.param(lambda x: BiSeries.one(3) * x, 5, id="BiSeries * int"),
+    pytest.param(partition_chern_coeff, 5, id="partition_chern_coeff(non-iterable)"),
+    pytest.param(format_rational, 0.5, id="format_rational(float)"),
+    *[pytest.param(default_labels, n, id=f"default_labels({n!r})") for n in ("x", -2, True)],
+    pytest.param(_CH[1].map_generators, 5, id="map_generators(non-callable)"),
 ])
 def test_bad_arguments_are_domain_errors(call, value):
     """A float, a string or a value below the bound is refused as a
     DomainError, not as a TypeError from deeper inside."""
+    with pytest.raises(DomainError):
+        call(value)
+
+
+# ------------------------------------------- flag and choice arguments
+
+def _json_with_mode(mode):
+    doc = render_json_dict(_CH[1])
+    doc["mode"] = mode
+    return expr_from_json_dict(doc)
+
+
+# (name, call on the flag)
+_FLAGS = [
+    ("ModuliSpec.concrete", lambda f: ModuliSpec(2, default_labels(1), concrete=f)),
+    ("expand_hodge", lambda f: expand_hodge(_CH[1], half_includes_kappa=f)),
+    ("hodge_ch", lambda f: hodge_ch(_SPEC, 1, half_includes_kappa=f)),
+    ("BiSeries.build", lambda f: BiSeries.build(4, {(1, 1): 1}, cross_zero=f)),
+    ("BiSeries.zero", lambda f: BiSeries.zero(4, cross_zero=f)),
+    ("BiSeries.one", lambda f: BiSeries.one(4, cross_zero=f)),
+    ("BiSeries.variable", lambda f: BiSeries.variable(4, 1, cross_zero=f)),
+    ("check_node_correction", lambda f: check_node_correction(4, inject_fault=f)),
+]
+
+# (name, call on the choice, a wrong value of the right type, whether True is a test)
+_CHOICES = [
+    ("rank bundle", lambda b: rank(_SPEC, b), "lambda", False),
+    ("ch_bundle bundle", lambda b: ch_bundle(_SPEC, 1, b), "hodge", False),
+    ("ch_bundle basis", lambda b: ch_bundle(_SPEC, 1, basis=b), "tangent", False),
+    ("kappa_tilde_rewrite", lambda d: kappa_tilde_rewrite(_CH[1], d), "both", False),
+    ("BiSeries.variable index", lambda i: BiSeries.variable(4, i), 3, True),
+    ("one_minus_exp_neg index", lambda i: one_minus_exp_neg(4, i), 3, True),
+    ("marked_point_reference", lambda s: marked_point_reference(4, s), 0, True),
+    ("render", lambda fmt: render(_CH[1], fmt), "html", False),
+    ("JSON mode", _json_with_mode, "weird", False),
+]
+
+
+@pytest.mark.parametrize("call,value", [
+    pytest.param(call, value, id=f"{name}({value!r})")
+    for name, call in _FLAGS for value in ("no", 1, 0, None)
+] + [
+    pytest.param(call, value, id=f"{name}({value!r})")
+    for name, call, wrong, numeric in _CHOICES
+    for value in [wrong, ["x"]] + ([True] if numeric else [])
+])
+def test_flags_and_choices_refuse_other_values(call, value):
+    """A flag takes only False or True, and a choice only one of its
+    values with that value's type: a truthy string, an int for a bool, a
+    bool for an int and an unhashable list are all DomainErrors."""
     with pytest.raises(DomainError):
         call(value)
