@@ -85,8 +85,7 @@ class BiSeries:
 
     @staticmethod
     def variable(order: int, index: int, cross_zero: bool = False) -> "BiSeries":
-        key = (1, 0) if check_choice(index, (1, 2), "variable index") == 1 else (0, 1)
-        return BiSeries.build(order, {key: 1}, cross_zero)
+        return _univariate(order, index, lambda k: 1 if k == 1 else 0, cross_zero)
 
     @property
     def coeffs(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
@@ -228,6 +227,7 @@ def _reduced(order: int, cross_zero: bool, den: int,
 def _univariate(order: int, index: int, fn,
                 cross_zero: bool = False) -> BiSeries:
     """Series in the chosen variable alone, with coefficient fn(k) on D^k."""
+    check_int(order, 0, "series order")
     first = check_choice(index, (1, 2), "variable index") == 1
     return BiSeries.build(
         order, {((k, 0) if first else (0, k)): fn(k) for k in range(order + 1)}, cross_zero)
@@ -312,7 +312,6 @@ def check_node_correction(order: int, inject_fault: bool = False) -> bool:
 
 def todd_reciprocal(order: int) -> BiSeries:
     """t/(e^t - 1) as a univariate series in the first variable."""
-    check_int(order, 0, "series order")
     return _univariate(order, 1, lambda k: Fraction(1, factorial(k + 1))).inverse()
 
 

@@ -183,8 +183,7 @@ def ch_tangent(spec: ModuliSpec, order: int) -> TautExpr:
     return dualize(ch_cotangent(spec, order))
 
 
-def hodge_ch(spec: ModuliSpec, order: int,
-             half_includes_kappa: bool = False) -> TautExpr:
+def hodge_ch(spec: ModuliSpec, order: int) -> TautExpr:
     """Chern character of the Hodge bundle, degrees 1..order: expand_hodge
     of the sum of ch_k(E) over odd k <= order.
 
@@ -194,40 +193,42 @@ def hodge_ch(spec: ModuliSpec, order: int,
     check_int(order, 0, "character order")
     generators = TautExpr.build(spec, order, [((hodge_component(k),), 1)
                                               for k in range(1, order + 1, 2)])
-    return expand_hodge(generators, half_includes_kappa)
+    return expand_hodge(generators)
 
 
-def expand_hodge(e: TautExpr, half_includes_kappa: bool = False) -> TautExpr:
+def expand_hodge(e: TautExpr) -> TautExpr:
     """Replace each ch_k(E) generator by its kappa~/boundary expansion.
 
     The prefactor B_{k+1}/(k+1)! multiplies kappa~_k plus half the
     boundary pushforwards of the alternating symmetric polynomial of
-    degree k-1.  With half_includes_kappa the 1/2 covers the kappa~
-    term as well; that reading breaks the degree-1 identity
-    lambda = (kappa_1 - psi + delta)/12 and is kept only so the
-    inconsistency can be demonstrated.
+    degree k-1 (Mumford's formula).
     """
-    check_choice(half_includes_kappa, (False, True), "half_includes_kappa")
-
     def fn(g):
         if g.kind == CHE:
             k = g.args[0]
             pref = bernoulli(k + 1) / factorial(k + 1)
-            kappa_c = pref / 2 if half_includes_kappa else pref
             return TautExpr._collect(
                 e.spec, e.order,
-                [((kappa_tilde(k),), kappa_c)]
+                [((kappa_tilde(k),), pref)]
                 + _boundary_items(e.spec, alternating_sym(k - 1), pref / 2))
 
     return check_expr(e).map_generators(fn)
 
 
 def kappa_tilde_rewrite(e: TautExpr, direction: str = "expand") -> TautExpr:
-    """Rewrite kappa~_m <-> kappa_m - (sum of psi^m) in either direction."""
+    """Rewrite kappa~_m <-> kappa_m - (sum of psi^m) in either direction;
+    on a concrete spec the psi sum goes through expand_concrete."""
     expand = check_choice(direction, ("expand", "collect"), "rewrite direction") == "expand"
     source, target, sign = (KAPPATILDE, kappa, -1) if expand else (KAPPA, kappa_tilde, 1)
-    return check_expr(e).map_generators(lambda g: None if g.kind != source else TautExpr.build(
-        e.spec, e.order, [((target(g.args[0]),), 1), ((psi_power_sum(g.args[0]),), sign)]))
+    spec, order = check_expr(e).spec, e.order
+
+    def fn(g):
+        if g.kind == source:
+            image = TautExpr.build(spec, order, [((target(g.args[0]),), 1),
+                                                 ((psi_power_sum(g.args[0]),), sign)])
+            return expand_concrete(image) if spec.concrete else image
+
+    return e.map_generators(fn)
 
 
 def to_lambda_basis(e: TautExpr) -> TautExpr:

@@ -141,7 +141,6 @@ def test_cotangent_order_domain():
     pytest.param(lambda: chern_classes(SPEC21, False), id="bool-jmax"),
     pytest.param(lambda: chern_classes(SPEC21, 0, basis="bogus"), id="unknown-basis"),
     pytest.param(lambda: chern_classes(SPEC21, 0, "hodge"), id="unknown-bundle"),
-    pytest.param(lambda: hodge_ch(SPEC21, 0, half_includes_kappa="no"), id="hodge-switch"),
 ])
 def test_degree_zero_checks_like_degree_one(call):
     """Degree 0 takes the same path as any other order, so it refuses what
@@ -231,8 +230,13 @@ def test_hodge_degree_one_gives_lambda_relation(g, n):
 
 
 def test_hodge_half_inside_variant_breaks_the_relation():
+    """The other reading of Mumford's formula, with the 1/2 on the kappa~
+    term as well, built from the library's one reading by halving each
+    kappa~_k term; it fails the degree-one identity."""
     spec = SPEC21
-    e = hodge_ch(spec, 1, half_includes_kappa=True)
+    e = hodge_ch(spec, 1)
+    e = e - TautExpr.build(spec, 1, [(m, c / 2) for m, c in e.terms
+                                     if m[0].kind == "kappa_tilde"])
     assert e.coefficient(kappa_tilde(1)) == Fraction(1, 24)
     e = kappa_tilde_rewrite(e, "expand")
     fold = (TautExpr.of(spec, 1, delta_class()).scale(2)
@@ -242,13 +246,6 @@ def test_hodge_half_inside_variant_breaks_the_relation():
                 - TautExpr.of(spec, 1, psi_power_sum(1))
                 + TautExpr.of(spec, 1, delta_class())).scale(Fraction(1, 12))
     assert e != expected
-
-
-def test_hodge_variant_switch_must_be_a_bool():
-    """A truthy non-bool such as "no" must not pick the half-on-kappa~
-    variant."""
-    with pytest.raises(DomainError):
-        hodge_ch(SPEC21, 3, half_includes_kappa="no")
 
 
 def test_expand_hodge_reproduces_components():
@@ -264,8 +261,20 @@ def test_kappa_tilde_rewrite_round_trip():
     e0 = hodge_ch(no_marks, 3)
     assert kappa_tilde_rewrite(
         kappa_tilde_rewrite(e0, "expand"), "collect") == e0
+    concrete = hodge_ch(ModuliSpec(1, ("a", "b"), concrete=True), 3)
+    assert kappa_tilde_rewrite(
+        kappa_tilde_rewrite(concrete, "expand"), "collect") == concrete
     with pytest.raises(DomainError):
         kappa_tilde_rewrite(e, "sideways")
+
+
+def test_kappa_tilde_rewrite_names_concrete_psi():
+    """On a concrete spec the psi sum comes out per marking, as
+    expand_concrete writes it, never as the aggregate psi."""
+    generic = ModuliSpec(1, ("a", "b"))
+    concrete = ModuliSpec(1, ("a", "b"), concrete=True)
+    assert kappa_tilde_rewrite(hodge_ch(concrete, 3)) == \
+        expand_concrete(kappa_tilde_rewrite(hodge_ch(generic, 3)))
 
 
 # ------------------------------------------------------------- basis change

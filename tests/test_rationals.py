@@ -238,6 +238,7 @@ _INT_ARGUMENTS = [
     ("power_sym", power_sym, 2.0, 0),
     ("kappa_coefficient", kappa_coefficient, 2.0, 1),
     ("todd_reciprocal", todd_reciprocal, 2.0, 0),
+    ("one_minus_exp_neg", lambda k: one_minus_exp_neg(k, 1), 2.0, 0),
     ("marked_point_reference", lambda k: marked_point_reference(k, 1), 4.0, 0),
     ("check_todd_bernoulli", check_todd_bernoulli, 2.5, 2),
     ("structure_sheaf_pair_ch", structure_sheaf_pair_ch, 3.5, 2),
@@ -305,8 +306,6 @@ def _json_with_mode(mode):
 # (name, call on the flag)
 _FLAGS = [
     ("ModuliSpec.concrete", lambda f: ModuliSpec(2, default_labels(1), concrete=f)),
-    ("expand_hodge", lambda f: expand_hodge(_CH[1], half_includes_kappa=f)),
-    ("hodge_ch", lambda f: hodge_ch(_SPEC, 1, half_includes_kappa=f)),
     ("BiSeries.build", lambda f: BiSeries.build(4, {(1, 1): 1}, cross_zero=f)),
     ("BiSeries.zero", lambda f: BiSeries.zero(4, cross_zero=f)),
     ("BiSeries.one", lambda f: BiSeries.one(4, cross_zero=f)),
