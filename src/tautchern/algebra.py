@@ -13,16 +13,15 @@ the pair (h, A) is stored as the canonical representative of the
 identification (h, A) ~ (g-h, complement of A).
 
 Every product runs in one kernel, sums_of_products, which sums
-c * m * f1 * f2 * ... over each group of (c, m, factors) triples;
-sum_of_products is its one-group call.  A per-call table numbers the
-generators in stored order, monomials become sorted int tuples,
-coefficients integer numerators over one lcm per group, and each output
-term costs one Fraction; the table dies with the call.  One walk over
-the tree of chain prefixes forms the product of each shared prefix (same
-monomial, same factor objects) once for all groups, with no coefficient;
-a chain's numerator enters only where it is added into its total.  The
-collector under +, scale and component also sums integer numerators over
-one lcm.
+c * m * f1 * f2 * ... over each group of (c, m, factors) triples.  A
+per-call table numbers the generators in stored order, monomials become
+sorted int tuples, coefficients integer numerators over one lcm per
+group, and each output term costs one Fraction; the table dies with the
+call.  One walk over the tree of chain prefixes forms the product of
+each shared prefix (same monomial, same factor objects) once for all
+groups, with no coefficient; a chain's numerator enters only where it is
+added into its total.  The collector under +, scale and component also
+sums integer numerators over one lcm.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .rationals import DomainError, _exact, check_choice, check_int
@@ -92,8 +92,8 @@ class Gen:
     args: tuple = ()
     degree: int = field(init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
-    _sort: tuple = field(init=False, compare=False, repr=False)
-    _display: tuple = field(init=False, compare=False, repr=False)
+    sort_key: tuple = field(init=False, compare=False, repr=False)
+    display_key: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         check_args(self.kind, self.args)
@@ -110,17 +110,11 @@ class Gen:
                 raise DomainError(f"{self.kind} index must be >= 1 (odd for {CHE}), got {degree}")
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "_hash", hash((self.kind, self.args)))
-        object.__setattr__(self, "_sort", (_KINDS[self.kind][0], self.args))
-        object.__setattr__(self, "_display", (_KINDS[self.kind][1], self.args))
+        object.__setattr__(self, "sort_key", (_KINDS[self.kind][0], self.args))
+        object.__setattr__(self, "display_key", (_KINDS[self.kind][1], self.args))
 
     def __hash__(self):
         return self._hash
-
-    def sort_key(self):
-        return self._sort
-
-    def display_key(self):
-        return self._display
 
 
 def kappa(m: int) -> Gen:
@@ -277,12 +271,14 @@ class ModuliSpec:
 
     def mirror_splitting(self, h: int, labels: Iterable[str]) -> tuple[int, tuple[str, ...]]:
         idx = self._positions(h, labels)
+        check_int(min(h, self.genus - h), 0, "genus of each splitting side")
         return (self.genus - h, tuple(p for i, p in enumerate(self.labels) if i not in idx))
 
     def canonical_splitting(self, h: int, labels: Iterable[str]) -> tuple[int, tuple[str, ...]]:
         """The smaller of (h, A) and its mirror, compared by (h, |A|,
         marking positions of A)."""
-        return self._side(h, labels)[1]
+        hh, lab = self._side(h, labels)[1]
+        return check_int(hh, 0, "genus of each splitting side"), lab
 
     def splitting_classes(self) -> list[tuple[int, tuple[str, ...], int]]:
         """Canonical separating divisor representatives with multiplicities.
@@ -297,17 +293,8 @@ class ModuliSpec:
         return [(h, lab, counts[side]) for (h, lab), side in table.items()
                 if side == (h, lab)]
 
-    def boundary_divisors(self) -> list[tuple]:
-        """Canonical list of boundary divisors: ("irr",) then ("sep", h, A)."""
-        out: list[tuple] = []
-        if self.genus >= 1:
-            out.append(("irr",))
-        for h, lab, _mult in self.splitting_classes():
-            out.append(("sep", h, lab))
-        return out
-
     def boundary_count(self) -> int:
-        return len(self.boundary_divisors())
+        return (self.genus >= 1) + len(self.splitting_classes())
 
     def sep_push(self, h: int, labels: Iterable[str], a: int, b: int) -> Gen:
         """One separating pushforward atom xi_{h,A}_*(m_(a,b)(psi_r1, psi_r2)).
@@ -343,7 +330,7 @@ Monomial = tuple[Gen, ...]
 def monomial(*gens: Gen) -> Monomial:
     if not all(isinstance(g, Gen) for g in gens):
         raise DomainError(f"monomial factors must be Gen, got {gens!r}")
-    return tuple(sorted(gens, key=Gen.sort_key))
+    return tuple(sorted(gens, key=attrgetter("sort_key")))
 
 
 def _gen_tuple(gens: Gen | Iterable[Gen]) -> tuple:
@@ -453,7 +440,7 @@ class TautExpr:
         terms = [(m, Fraction(n, den)) for m, n in acc.items()
                  if n and monomial_degree(m) <= cap]
         terms.sort(key=lambda mc: (monomial_degree(mc[0]),
-                                   tuple([g.display_key() for g in mc[0]])))
+                                   tuple([g.display_key for g in mc[0]])))
         return TautExpr(spec, order, tuple(terms))
 
     @staticmethod
@@ -494,12 +481,12 @@ class TautExpr:
         """The truncated product: each left term times other, in the kernel.
         other is checked here too, since a zero self hands the kernel none."""
         _check_compatible(self.spec, self.order, other)
-        return sum_of_products(self.spec, self.order,
-                               [(c, m, (other,)) for m, c in self.terms])
+        return sums_of_products(self.spec, self.order,
+                                [[(c, m, (other,)) for m, c in self.terms]])[0]
 
     def __pow__(self, k: int) -> "TautExpr":
         check_int(k, 0, "expression power")
-        return sum_of_products(self.spec, self.order, [(Fraction(1), (), [self] * k)])
+        return sums_of_products(self.spec, self.order, [[(Fraction(1), (), [self] * k)]])[0]
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -538,7 +525,7 @@ class TautExpr:
             return (c, tuple(g for g, img in zip(m, images) if img is None),
                     [img for img in images if img is not None])
 
-        return sum_of_products(self.spec, self.order, (split(m, c) for m, c in self.terms))
+        return sums_of_products(self.spec, self.order, [(split(m, c) for m, c in self.terms)])[0]
 
     def substitute(self, rules: Mapping[Gen, "TautExpr"]) -> "TautExpr":
         """Replace generators by expressions of the same degree everywhere."""
@@ -573,14 +560,6 @@ def _check_compatible(spec: ModuliSpec, order: int, other: TautExpr) -> None:
             f"expressions have different truncation orders ({order} vs {other.order})")
 
 
-def sum_of_products(spec: ModuliSpec, order: int,
-                    products: Iterable[tuple[Fraction, Monomial, Iterable[TautExpr]]]) -> TautExpr:
-    """The sum of c * m * f1 * f2 * ... over the (c, m, factors) triples,
-    with each monomial m canonical on spec: the one-group call of
-    sums_of_products."""
-    return sums_of_products(spec, order, [products])[0]
-
-
 def sums_of_products(spec: ModuliSpec, order: int,
                      groups: Iterable[Iterable[tuple[Fraction, Monomial, Iterable[TautExpr]]]]
                      ) -> list[TautExpr]:
@@ -602,7 +581,12 @@ def sums_of_products(spec: ModuliSpec, order: int,
     for f in factors.values():
         _check_compatible(spec, order, f)
         gens.update(*[m for m, _ in f.terms])
-    table = sorted(gens, key=Gen.sort_key)
+    # A chain reaches at most its seed's degree plus each factor's top
+    # degree, its last term's, since terms are in degree order.
+    top = {key: monomial_degree(f.terms[-1][0]) if f.terms else 0 for key, f in factors.items()}
+    cap = min(cap, max([monomial_degree(mono) + sum([top[id(f)] for f in fs])
+                        for _, mono, fs in triples], default=0))
+    table = sorted(gens, key=attrgetter("sort_key"))
     index = {g: i for i, g in enumerate(table)}
     read = {}
     for key, f in factors.items():
@@ -658,7 +642,7 @@ def sums_of_products(spec: ModuliSpec, order: int,
     for (d, mono), chains in seeds.items():
         walk([(d, {mono: 1})], chains, 0)
     rank = {i: r for r, i in enumerate(sorted(range(len(table)),
-                                              key=lambda i: table[i].display_key()))}
+                                              key=lambda i: table[i].display_key))}
     return [TautExpr(spec, order, tuple(
         (tuple([table[i] for i in m]), Fraction(acc[m], big)) for acc in total
         for m in sorted([m for m, n in acc.items() if n], key=lambda m: [rank[i] for i in m])))

@@ -97,6 +97,8 @@ class BiSeries:
         return dict(self.coeffs)
 
     def coeff(self, i: int, j: int) -> Fraction:
+        if type(i) is not int or type(j) is not int:
+            raise DomainError(f"series exponents must be ints, got ({i!r}, {j!r})")
         for key, n in self.nums:
             if key == (i, j):
                 return Fraction(n, self.den)

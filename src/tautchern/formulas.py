@@ -28,7 +28,6 @@ from .algebra import (
     BSEPA,
     CHE,
     DELTA,
-    KAPPA,
     KAPPATILDE,
     PSIPOW,
     Gen,
@@ -45,7 +44,6 @@ from .algebra import (
     marked_psi,
     psi_power_sum,
     sep_push_sum,
-    sum_of_products,
     sums_of_products,
 )
 from .partitions import (
@@ -215,17 +213,15 @@ def expand_hodge(e: TautExpr) -> TautExpr:
     return check_expr(e).map_generators(fn)
 
 
-def kappa_tilde_rewrite(e: TautExpr, direction: str = "expand") -> TautExpr:
-    """Rewrite kappa~_m <-> kappa_m - (sum of psi^m) in either direction;
-    on a concrete spec the psi sum goes through expand_concrete."""
-    expand = check_choice(direction, ("expand", "collect"), "rewrite direction") == "expand"
-    source, target, sign = (KAPPATILDE, kappa, -1) if expand else (KAPPA, kappa_tilde, 1)
+def kappa_tilde_rewrite(e: TautExpr) -> TautExpr:
+    """Rewrite each kappa~_m as kappa_m - (sum of psi^m); on a concrete
+    spec the psi sum goes through expand_concrete."""
     spec, order = check_expr(e).spec, e.order
 
     def fn(g):
-        if g.kind == source:
-            image = TautExpr.build(spec, order, [((target(g.args[0]),), 1),
-                                                 ((psi_power_sum(g.args[0]),), sign)])
+        if g.kind == KAPPATILDE:
+            image = TautExpr.build(spec, order, [((kappa(g.args[0]),), 1),
+                                                 ((psi_power_sum(g.args[0]),), -1)])
             return expand_concrete(image) if spec.concrete else image
 
     return e.map_generators(fn)
@@ -307,8 +303,8 @@ def chern_exp_oracle(ch: Mapping[int, TautExpr], jmax: int) -> list[TautExpr]:
         scalar = (-1) ** (r - 1) * factorial(r - 1)
         items.extend((m, c * scalar) for m, c in part.terms)
     log_term = TautExpr._collect(spec, order, items)
-    total = sum_of_products(spec, order, [(Fraction(1, factorial(k)), (), [log_term] * k)
-                                          for k in range(jmax + 1)])
+    total = sums_of_products(spec, order, [[(Fraction(1, factorial(k)), (), [log_term] * k)
+                                            for k in range(jmax + 1)]])[0]
     return [total.component(j) for j in range(1, jmax + 1)]
 
 

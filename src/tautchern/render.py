@@ -173,7 +173,7 @@ class _Spelled(dict):
         self.spell = spell
 
     def __missing__(self, g: Gen) -> tuple[tuple, str]:
-        entry = self[g] = (g.display_key(), self.spell(g))
+        entry = self[g] = (g.display_key, self.spell(g))
         return entry
 
     def display(self, mono: tuple[Gen, ...]) -> list[tuple[tuple, str]]:

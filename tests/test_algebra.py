@@ -6,6 +6,7 @@ import json
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -201,11 +202,17 @@ SPEC12C = ModuliSpec(1, ("p1", "p2"), concrete=True)
     lambda: SPEC12C.mirror_splitting("1", ("p1",)),
     lambda: SPEC12C.sep_push(1, 5, 0, 0),
     lambda: SPEC12C.splitting_is_stable(0, 5),
+    lambda: SPEC12C.mirror_splitting(5, ()),
+    lambda: SPEC12C.canonical_splitting(4, ("p1",)),
+    lambda: SPEC12C.mirror_splitting(-1, ("p1",)),
+    lambda: SPEC12C.canonical_splitting(-1, ()),
 ], ids=["stable-str-h", "canonical-str-h", "mirror-str-h",
-        "sep-push-int-labels", "stable-int-labels"])
+        "sep-push-int-labels", "stable-int-labels", "mirror-h-above-g",
+        "canonical-h-above-g", "mirror-negative-h", "canonical-negative-h"])
 def test_splitting_methods_reject_wrong_argument_types(call):
     """A str genus or a label set that is not iterable is a domain error,
-    not a TypeError from the comparison or the iteration."""
+    not a TypeError from the comparison or the iteration; so is a genus
+    outside 0..g, which would give one side a negative genus."""
     with pytest.raises(DomainError):
         call()
 
@@ -243,13 +250,6 @@ def test_boundary_counts_match_brute_force(g, n):
         return
     spec = ModuliSpec(g, default_labels(n))
     assert spec.boundary_count() == boundary_class_count(g, n)
-
-
-def test_boundary_divisor_list_shape():
-    divisors = ModuliSpec(2, default_labels(1)).boundary_divisors()
-    assert divisors[0] == ("irr",)
-    assert divisors[1] == ("sep", 1, ())
-    assert ModuliSpec(0, default_labels(4)).boundary_divisors()[0][0] == "sep"
 
 
 def test_sep_push_canonicalizes():
@@ -341,7 +341,7 @@ def test_product_builds_no_pair_above_the_cap(monkeypatch):
     spec = ModuliSpec(0, default_labels(5), concrete=True)
     a = TautExpr.build(spec, 4, [((), 1), ((kappa(1),), 2), ((kappa(1), delta_class()), 3)])
     b = TautExpr.build(spec, 4, [((), 5), ((marked_psi("p1"),), 7), ((kappa(2),), 1)])
-    table = sorted({g for e in (a, b) for m, _ in e.terms for g in m}, key=Gen.sort_key)
+    table = sorted({g for e in (a, b) for m, _ in e.terms for g in m}, key=attrgetter("sort_key"))
     made = []
 
     def counting_sorted(items, **kw):
@@ -877,8 +877,8 @@ def test_sum_of_products_equals_naive_fold(exprs, gens, data):
         st.lists(gens, max_size=3).map(lambda m: monomial(*m)),
         st.lists(st.sampled_from(pool), max_size=3)), max_size=4))
     expected = reference_sum_of_products(spec, order, products)
-    assert algebra.sum_of_products(spec, order, products) == expected
-    assert algebra.sum_of_products(spec, order, iter(products)) == expected
+    assert algebra.sums_of_products(spec, order, [products])[0] == expected
+    assert algebra.sums_of_products(spec, order, [iter(products)])[0] == expected
 
 
 @pytest.mark.parametrize("exprs", [_exprs, _concrete_exprs], ids=["generic", "concrete"])
@@ -914,6 +914,21 @@ def _unshared(groups):
             for g in groups]
 
 
+def test_product_degree_lists_stop_at_the_reachable_degree(monkeypatch):
+    """The kernel reads a factor into degree lists only up to the highest
+    degree a chain reaches, not up to the truncation order: the square
+    of a degree-1 class at order 10**6 needs lists for degrees 0..2."""
+    spec, order = ModuliSpec(1, default_labels(1)), 10 ** 6
+    lengths = []
+    real = algebra._times
+    monkeypatch.setattr(algebra, "_times",
+                        lambda state, groups, *rest: lengths.append(len(groups))
+                        or real(state, groups, *rest))
+    square = TautExpr.of(spec, order, kappa(1)) ** 2
+    assert square == TautExpr.of(spec, order, (kappa(1), kappa(1)))
+    assert lengths and max(lengths) <= 3
+
+
 def _counting_times(monkeypatch):
     calls = []
     real = algebra._times
@@ -936,7 +951,7 @@ def test_shared_prefixes_equal_unshared_products(monkeypatch, spec, order):
     assert shared_calls < len(calls) - shared_calls
     monkeypatch.undo()
     assert shared == [reference_sum_of_products(ch.spec, order, g) for g in groups]
-    assert shared[-2] == algebra.sum_of_products(ch.spec, order, groups[-2])
+    assert shared[-2] == algebra.sums_of_products(ch.spec, order, [groups[-2]])[0]
 
 
 def test_group_without_products_gives_zero():
@@ -946,7 +961,7 @@ def test_group_without_products_gives_zero():
     assert algebra.sums_of_products(SPEC21, 4, [[], [(Fraction(2), (), [e])], iter([])]) == [
         zero, e.scale(2), zero]
     assert algebra.sums_of_products(SPEC21, 4, [[(Fraction(0), (), [e, e])]]) == [zero]
-    assert algebra.sum_of_products(SPEC21, 4, []) == zero
+    assert algebra.sums_of_products(SPEC21, 4, [[]])[0] == zero
 
 
 def test_lambda_basis_multiplies_only_rewritten_terms(monkeypatch):

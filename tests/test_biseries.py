@@ -81,6 +81,16 @@ def test_variable_and_coeff():
         BiSeries.variable(3, 0)
 
 
+@pytest.mark.parametrize("i,j", [(1.0, 0), (True, 0), ("a", 0), (0, 0.0), (0, None)])
+def test_coeff_takes_only_int_exponents(i, j):
+    """A float or bool equal to an exponent, or a non-number, is refused,
+    not read as that exponent or as an absent one."""
+    with pytest.raises(DomainError):
+        todd_reciprocal(6).coeff(i, j)
+    assert todd_reciprocal(6).coeff(1, 0) == Fraction(-1, 2)
+    assert todd_reciprocal(6).coeff(-1, 0) == todd_reciprocal(6).coeff(7, 0) == 0
+
+
 @pytest.mark.parametrize("index", [True, 1.0, 2.0, "1"])
 def test_variable_index_must_be_an_int(index):
     """A bool or a float equal to 1 or 2 is refused at the call."""

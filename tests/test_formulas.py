@@ -37,6 +37,7 @@ from tautchern import (
     kappa_coefficient,
     kappa_tilde,
     kappa_tilde_rewrite,
+    marked_psi,
     partition_chern_coeff,
     partitions,
     power_sym,
@@ -219,7 +220,7 @@ def test_hodge_degree_one_gives_lambda_relation(g, n):
     """Folding the boundary atoms back into delta must turn the degree-one
     component into (kappa_1 - psi + delta)/12."""
     spec = ModuliSpec(g, default_labels(n))
-    e = kappa_tilde_rewrite(hodge_ch(spec, 1), "expand")
+    e = kappa_tilde_rewrite(hodge_ch(spec, 1))
     fold = (TautExpr.of(spec, 1, delta_class()).scale(2)
             - TautExpr.of(spec, 1, irr_push(0, 0)))
     e = e.substitute({sep_push_sum(0, 0): fold})
@@ -238,7 +239,7 @@ def test_hodge_half_inside_variant_breaks_the_relation():
     e = e - TautExpr.build(spec, 1, [(m, c / 2) for m, c in e.terms
                                      if m[0].kind == "kappa_tilde"])
     assert e.coefficient(kappa_tilde(1)) == Fraction(1, 24)
-    e = kappa_tilde_rewrite(e, "expand")
+    e = kappa_tilde_rewrite(e)
     fold = (TautExpr.of(spec, 1, delta_class()).scale(2)
             - TautExpr.of(spec, 1, irr_push(0, 0)))
     e = e.substitute({sep_push_sum(0, 0): fold})
@@ -255,17 +256,17 @@ def test_expand_hodge_reproduces_components():
 
 
 def test_kappa_tilde_rewrite_round_trip():
-    e = hodge_ch(SPEC21, 5)
-    assert kappa_tilde_rewrite(kappa_tilde_rewrite(e, "expand"), "collect") == e
-    no_marks = ModuliSpec(2, ())
-    e0 = hodge_ch(no_marks, 3)
-    assert kappa_tilde_rewrite(
-        kappa_tilde_rewrite(e0, "expand"), "collect") == e0
-    concrete = hodge_ch(ModuliSpec(1, ("a", "b"), concrete=True), 3)
-    assert kappa_tilde_rewrite(
-        kappa_tilde_rewrite(concrete, "expand"), "collect") == concrete
-    with pytest.raises(DomainError):
-        kappa_tilde_rewrite(e, "sideways")
+    """The rewrite is the substitution kappa~_m -> kappa_m - psi^(m), with
+    psi^(m) in the spec's own generators: the aggregate psi sum, which
+    vanishes with no markings, or one psi power per named marking."""
+    for e in (hodge_ch(SPEC21, 5), hodge_ch(ModuliSpec(2, ()), 3),
+              hodge_ch(ModuliSpec(1, ("a", "b"), concrete=True), 3)):
+        spec, order = e.spec, e.order
+        rules = {kappa_tilde(m): TautExpr.build(spec, order, [((kappa(m),), 1)] + (
+                     [((marked_psi(p),) * m, -1) for p in spec.labels] if spec.concrete
+                     else [((psi_power_sum(m),), -1)]))
+                 for m in range(1, order + 1)}
+        assert kappa_tilde_rewrite(e) == e.substitute(rules)
 
 
 def test_kappa_tilde_rewrite_names_concrete_psi():

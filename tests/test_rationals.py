@@ -318,7 +318,6 @@ _CHOICES = [
     ("rank bundle", lambda b: rank(_SPEC, b), "lambda", False),
     ("ch_bundle bundle", lambda b: ch_bundle(_SPEC, 1, b), "hodge", False),
     ("ch_bundle basis", lambda b: ch_bundle(_SPEC, 1, basis=b), "tangent", False),
-    ("kappa_tilde_rewrite", lambda d: kappa_tilde_rewrite(_CH[1], d), "both", False),
     ("BiSeries.variable index", lambda i: BiSeries.variable(4, i), 3, True),
     ("one_minus_exp_neg index", lambda i: one_minus_exp_neg(4, i), 3, True),
     ("marked_point_reference", lambda s: marked_point_reference(4, s), 0, True),

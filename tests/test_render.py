@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -222,7 +223,7 @@ def reference_json_dict(e: TautExpr) -> dict:
                 "coeff": format_rational(c),
                 "monomial": [{"gen": g.kind,
                               "args": [list(a) if type(a) is tuple else a for a in g.args]}
-                             for g in sorted(m, key=Gen.display_key)],
+                             for g in sorted(m, key=attrgetter("display_key"))],
             }
             for m, c in e.terms
         ],
@@ -441,7 +442,7 @@ def reference_grouped(mono: tuple[Gen, ...]) -> list[tuple[Gen, int]]:
     """Collapse a monomial, sorted into display order, into (generator,
     exponent) runs by comparing generators."""
     out: list[tuple[Gen, int]] = []
-    for g in sorted(mono, key=Gen.display_key):
+    for g in sorted(mono, key=attrgetter("display_key")):
         if out and out[-1][0] == g:
             out[-1] = (g, out[-1][1] + 1)
         else:
